@@ -1,7 +1,8 @@
 """Command line front end: JSON in, JSON out.
 
-Every verb prints one canonical JSON document (sorted keys, floats with 17
-significant digits) so identical command/seed pairs are byte-identical.
+Every verb prints one canonical JSON document (sorted keys, shortest
+round-trip floats: 0.1 prints as 0.1, a float zero as 0.0), so identical
+command/seed pairs are byte-identical.
 Exit codes: 0 success, 1 domain error (payload {"error", "detail"}),
 2 usage errors and malformed input.
 """
@@ -9,6 +10,7 @@ Exit codes: 0 success, 1 domain error (payload {"error", "detail"}),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,6 +24,9 @@ from .numkit import Tolerance
 
 __all__ = ["main"]
 
+# Largest N accepted by `--random N`: bounds the N x N matrices it allocates.
+_MAX_RANDOM_DIM = 1024
+
 _ROOT_DEMOS = {
     "sl2": lambda: (catalog.get_entry("sl2").algebra,
                     np.array([[0.0, 1.0, -1.0]])),
@@ -32,50 +37,22 @@ _ROOT_DEMOS = {
 # -- canonical JSON -----------------------------------------------------
 
 
-def _fmt_float(x) -> str:
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError("non-finite number in CLI output")
-    return format(x, ".17g")
-
-
-def render_json(obj, compact: bool = False, indent: int = 0) -> str:
-    """Canonical renderer: sorted keys, floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+def _plain(obj):
+    """json.dumps hook: numpy scalars and arrays as plain Python values."""
     if isinstance(obj, np.ndarray):
-        return render_json(obj.tolist(), compact, indent)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        sep = ":" if compact else ": "
-        items = []
-        for k in sorted(obj):
-            if not isinstance(k, str):
-                raise TypeError("JSON object keys must be strings")
-            items.append(json.dumps(k) + sep + render_json(obj[k], compact, indent + 1))
-        if compact:
-            return "{" + ",".join(items) + "}"
-        pad = "  " * (indent + 1)
-        body = ",\n".join(pad + it for it in items)
-        return "{\n" + body + "\n" + "  " * indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [render_json(v, compact, indent + 1) for v in obj]
-        if compact:
-            return "[" + ",".join(items) + "]"
-        pad = "  " * (indent + 1)
-        return "[\n" + ",\n".join(pad + it for it in items) + "\n" + "  " * indent + "]"
+        return obj.tolist()
+    if isinstance(obj, (np.integer, np.floating, np.bool_)):
+        return obj.item()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def render_json(obj, compact: bool = False) -> str:
+    """Canonical renderer: sorted keys and shortest round-trip floats, on one
+    line when compact, else indented by two.  NaN and infinity raise
+    ValueError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False, default=_plain,
+                      indent=None if compact else 2,
+                      separators=(",", ":") if compact else None)
 
 
 # -- input plumbing -----------------------------------------------------
@@ -166,6 +143,13 @@ def _need_g(args, algebra) -> GroupElement:
         raise UsageError(str(exc)) from exc
 
 
+def _random_dim(args) -> int:
+    n = int(args.random)
+    if not 1 <= n <= _MAX_RANDOM_DIM:
+        raise UsageError(f"--random needs a dimension from 1 to {_MAX_RANDOM_DIM}")
+    return n
+
+
 # -- verb handlers ------------------------------------------------------
 
 
@@ -199,9 +183,7 @@ def _cmd_polar(args, tol, rng):
 def _cmd_modular(args, tol, rng):
     doc = _document(args)
     if args.random is not None:
-        if args.random < 1:
-            raise UsageError("--random needs a positive dimension")
-        v = modular.random_standard_subspace(int(args.random), rng)
+        v = modular.random_standard_subspace(_random_dim(args), rng)
     elif doc is not None:
         try:
             v = modular.StandardSubspace.from_json(doc)
@@ -221,9 +203,7 @@ def _cmd_modular(args, tol, rng):
 def _cmd_monotone(args, tol, rng):
     doc = _document(args)
     if args.random is not None:
-        n = int(args.random)
-        if n < 1:
-            raise UsageError("--random needs a positive dimension")
+        n = _random_dim(args)
         r = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = r.conj().T @ r + 0.1 * np.eye(n)
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -288,7 +268,9 @@ def _cmd_verify(args, tol, rng):
 # -- argument parsing ---------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="grade3",
         description="3-graded Lie algebras: gradings, cones, compression "
@@ -383,6 +365,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         tol = _resolve_tol(args)
+        if args.seed < 0:
+            raise UsageError("--seed must be non-negative")
         rng = np.random.default_rng([int(args.seed), 0])
         code, payload = _HANDLERS[args.verb](args, tol, rng)
     except UsageError as exc:

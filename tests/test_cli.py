@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from grade3 import catalog
-from grade3.cli import main
+from grade3.cli import _build_parser, main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +122,70 @@ def test_byte_identical_output(capsys):
     _, out3, _ = run_cli(capsys, "verify", "cones", "--samples", "20", "--json")
     _, out4, _ = run_cli(capsys, "verify", "cones", "--samples", "20", "--json")
     assert out3 == out4
+
+
+def test_render_json_golden():
+    payload = {"tenth": 0.1, "f64": np.float64(-2.5), "i64": np.int64(7),
+               "flag": np.bool_(True), "mat": np.array([[1.0, 0.0], [0.5, 3.0]]),
+               "empty_obj": {}, "empty_list": []}
+    assert render_json(payload, compact=True) == (
+        '{"empty_list":[],"empty_obj":{},"f64":-2.5,"flag":true,"i64":7,'
+        '"mat":[[1.0,0.0],[0.5,3.0]],"tenth":0.1}')
+    assert render_json(payload) == """{
+  "empty_list": [],
+  "empty_obj": {},
+  "f64": -2.5,
+  "flag": true,
+  "i64": 7,
+  "mat": [
+    [
+      1.0,
+      0.0
+    ],
+    [
+      0.5,
+      3.0
+    ]
+  ],
+  "tenth": 0.1
+}"""
+    for bad in (float("nan"), float("inf")):
+        for compact in (True, False):
+            with pytest.raises(ValueError):
+                render_json({"x": [bad]}, compact=compact)
+    with pytest.raises(TypeError):
+        render_json({"x": np.array([1j])})
+
+
+def test_cached_parser_keeps_no_state(capsys):
+    assert _build_parser() is _build_parser()
+    g = "[[2,1],[1,1]]"
+    code, payload = run_json(capsys, "factor", "--demo", "sl2", "--g", g,
+                             "--order=-0+")
+    assert code == 0 and payload["order"] == "-0+"
+    code, payload = run_json(capsys, "factor", "--demo", "sl2", "--g", g)
+    assert code == 0 and payload["order"] == "+0-"
+    with pytest.raises(SystemExit) as exc:
+        main(["grade", "--demo", "nosuch"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, payload = run_json(capsys, "grade", "--demo", "sl2")
+    assert code == 0 and payload == {"dims": [1, 1, 1]}
+
+
+def test_negative_seed_is_usage_error(capsys):
+    for argv in (["modular", "--random", "4"], ["monotone", "--random", "3"],
+                 ["demo", "sl2"], ["verify", "grading", "--samples", "5"]):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == "" and "--seed" in err
+
+
+def test_random_dimension_is_capped(capsys):
+    for verb in ("modular", "monotone"):
+        code, out, err = run_cli(capsys, verb, "--random", "100000000")
+        assert code == 2 and out == "" and "--random" in err
+        code, out, err = run_cli(capsys, verb, "--random", "0")
+        assert code == 2 and out == ""
 
 
 def test_compact_and_pretty_agree(capsys):
