@@ -9,9 +9,11 @@ numerically at construction rather than assumed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .cones import Cone, graded_parts, nonneg_poly_dim
 from .liealg import Grading, GroupElement, LieAlgebraSpec, grade_by
@@ -27,6 +29,9 @@ __all__ = [
     "get_entry",
     "ENTRY_NAMES",
     "DEMO_NAMES",
+    "direct_sum",
+    "root_fixture",
+    "ROOT_FIXTURE_NAMES",
     "sample_algebra_element",
     "sample_group_element",
     "sample_stabilizer",
@@ -159,7 +164,6 @@ def build_poincare(d: int = 3) -> CatalogEntry:
             "translation": translation,
             "wedge_member": wedge_member,
             "member_direct": member_direct,
-            "boost_matrix": k,
         },
     )
 
@@ -265,12 +269,7 @@ def build_jacobi(n: int = 1) -> CatalogEntry:
         alg,
         h,
         cone,
-        extras={
-            "n_osc": n,
-            "n_vars": two_n,
-            "inject": inject,
-            "project": np.linalg.pinv(inject),
-        },
+        extras={"inject": inject},
     )
 
 
@@ -344,6 +343,25 @@ def build_su2() -> LieAlgebraSpec:
     return LieAlgebraSpec("su2", [u1, u2, u3])
 
 
+def direct_sum(fixtures) -> tuple:
+    """Root fixture (algebra, cartan, tag) of the block-diagonal direct sum
+    of root fixtures that share one tag: the bases sit in diagonal blocks
+    and the Cartan rows in the matching coordinate blocks."""
+    (tag,) = {f[2] for f in fixtures}
+    algebras = [f[0] for f in fixtures]
+    r = sum(a.rep_dim for a in algebras)
+    basis, offset = [], 0
+    for a in algebras:
+        block = slice(offset, offset + a.rep_dim)
+        for b in a.basis:
+            z = np.zeros((r, r), dtype=complex)
+            z[block, block] = b
+            basis.append(z)
+        offset += a.rep_dim
+    name = "+".join(a.name for a in algebras)
+    return LieAlgebraSpec(name, basis), block_diag(*[f[1] for f in fixtures]), tag
+
+
 # -- registry ------------------------------------------------------------
 
 _BUILDERS = {
@@ -372,6 +390,24 @@ def get_entry(name: str) -> CatalogEntry:
     if name not in _CACHE:
         _CACHE[name] = _BUILDERS[name]()
     return _CACHE[name]
+
+
+# Root fixtures: name -> (algebra, Cartan rows spanning a compactly embedded
+# Cartan subalgebra, the tag every root of it carries).
+_ROOT_BUILDERS = {
+    "sl2": lambda: (get_entry("sl2").algebra, np.array([[0.0, 1.0, -1.0]]),
+                    "noncompact_simple"),
+    "su2": lambda: (build_su2(), np.array([[1.0, 0.0, 0.0]]), "compact"),
+    "sl2+sl2": lambda: direct_sum([root_fixture("sl2")] * 2),
+}
+
+ROOT_FIXTURE_NAMES = tuple(_ROOT_BUILDERS)
+
+
+@functools.cache
+def root_fixture(name: str) -> tuple:
+    """Cached lookup of a root fixture (algebra, cartan, tag) by name."""
+    return _ROOT_BUILDERS[name]()
 
 
 # -- samplers ------------------------------------------------------------

@@ -27,12 +27,6 @@ __all__ = ["main"]
 # Largest N accepted by `--random N`: bounds the N x N matrices it allocates.
 _MAX_RANDOM_DIM = 1024
 
-_ROOT_DEMOS = {
-    "sl2": lambda: (catalog.get_entry("sl2").algebra,
-                    np.array([[0.0, 1.0, -1.0]])),
-    "su2": lambda: (catalog.build_su2(), np.array([[1.0, 0.0, 0.0]])),
-}
-
 
 # -- canonical JSON -----------------------------------------------------
 
@@ -223,10 +217,7 @@ def _cmd_monotone(args, tol, rng):
 def _cmd_roots(args, tol, rng):
     doc = _document(args)
     if getattr(args, "demo", None):
-        if args.demo not in _ROOT_DEMOS:
-            raise UsageError(
-                f"root demos: {', '.join(sorted(_ROOT_DEMOS))} (got {args.demo!r})")
-        algebra, cartan = _ROOT_DEMOS[args.demo]()
+        algebra, cartan, _ = catalog.root_fixture(args.demo)
     elif doc is not None:
         try:
             algebra = LieAlgebraSpec.from_json(doc["algebra"])
@@ -317,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use a seeded random pair A <= B of size N")
 
     p = add("roots", "root decomposition for a compactly embedded Cartan")
-    p.add_argument("--demo", choices=sorted(_ROOT_DEMOS))
+    p.add_argument("--demo", choices=catalog.ROOT_FIXTURE_NAMES)
     p.add_argument("--file", help="JSON document with 'algebra' and 'cartan'")
     p.add_argument("--x0", help="regular element (JSON list, Cartan coordinates) "
                                "to also report c_max generators")

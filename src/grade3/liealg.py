@@ -68,13 +68,8 @@ class LieAlgebraSpec:
         # Structure constants C[i, j, k]: coordinate k of [b_i, b_j].
         comm = np.einsum("iab,jbc->ijac", self.basis, self.basis)
         comm = comm - np.transpose(comm, (1, 0, 2, 3))
-        self.structure_constants = np.empty((self.dim, self.dim, self.dim))
-        worst = 0.0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                v, res = self.try_coords(comm[i, j])
-                worst = max(worst, res)
-                self.structure_constants[i, j] = v
+        self.structure_constants, res = self.try_coords(comm)
+        worst = float(res.max())
         if worst > tol.gate(self._basis_scale**2):
             raise ValueError(
                 f"bracket does not close over the basis (residual {worst:.3e})"
@@ -90,12 +85,17 @@ class LieAlgebraSpec:
         return m.real if self._is_real_rep else m
 
     def try_coords(self, m):
-        """Best real coefficient vector for matrix m and its residual."""
-        m = np.asarray(m, dtype=complex).reshape(-1)
-        stacked = np.concatenate([m.real, m.imag])
-        v = self._pinv @ stacked
-        res = float(np.linalg.norm(self._bstack @ v - stacked))
-        return v, res
+        """Best real coefficient vector for matrix m and its residual.
+
+        m is one (r, r) matrix or a stack (..., r, r); the solve runs along
+        the last axis, so a stack gives coefficients (..., dim) and residuals
+        (...)."""
+        m = np.asarray(m)
+        flat = m.reshape(m.shape[:-2] + (-1,))
+        stacked = np.concatenate([flat.real, flat.imag], axis=-1)
+        v = stacked @ self._pinv.T
+        d = v @ self._bstack.T - stacked
+        return v, np.sqrt((d * d).sum(axis=-1))
 
     def coords(self, m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Coefficient vector of m; raises ValueError if m leaves the span."""
@@ -276,35 +276,35 @@ class GroupElement:
         return f"GroupElement({self.algebra.name}, {self.matrix.tolist()})"
 
 
+def _conjugate_coords(g: GroupElement, xm, x_scale: float, tol: Tolerance,
+                      what: str) -> np.ndarray:
+    """Coefficients of g X g^{-1} for one matrix X or a stack of them; raises
+    AdjointOutOfSpan when the worst residual exceeds the gate at scale
+    ||g|| x_scale ||g^{-1}||, the size roundoff actually reaches when the
+    conjugation cancels."""
+    v, res = g.algebra.try_coords(g.matrix @ xm @ g.inv_matrix)
+    worst = float(max(res.flat))
+    # The gate grows with the scale and the scale is at least 1, so a
+    # residual within the gate at scale 1 passes without the norms.
+    if worst > tol.gate():
+        scale = max(1.0, float(np.linalg.norm(g.matrix) * x_scale
+                               * np.linalg.norm(g.inv_matrix)))
+        if worst > tol.gate(scale):
+            raise AdjointOutOfSpan(f"{what} residual {worst:.3e}")
+    return v
+
+
 def ad_image(g: GroupElement, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Coefficients of Ad(g) x = g X g^{-1}; raises AdjointOutOfSpan when the
-    conjugate leaves the basis span.  The residual gate scales with the
-    product of the factor norms, the size roundoff actually reaches when the
-    conjugation cancels."""
-    alg = g.algebra
-    xm = alg.to_matrix(x)
-    m = g.matrix @ xm @ g.inv_matrix
-    v, res = alg.try_coords(m)
-    scale = max(1.0, float(np.linalg.norm(g.matrix) * np.linalg.norm(xm)
-                           * np.linalg.norm(g.inv_matrix)))
-    if res > tol.gate(scale):
-        raise AdjointOutOfSpan(f"Ad(g)x residual {res:.3e}")
-    return v
+    conjugate leaves the basis span."""
+    xm = g.algebra.to_matrix(x)
+    return _conjugate_coords(g, xm, np.linalg.norm(xm), tol, "Ad(g)x")
 
 
 def adjoint(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Matrix of Ad(g) on coefficient vectors."""
     alg = g.algebra
-    conj = np.einsum("ab,ibc,cd->iad", g.matrix.astype(complex), alg.basis, g.inv_matrix.astype(complex))
-    flat = conj.reshape(alg.dim, -1).T
-    stacked = np.vstack([flat.real, flat.imag])
-    cols = alg._pinv @ stacked
-    res = np.linalg.norm(alg._bstack @ cols - stacked, axis=0)
-    scale = max(1.0, float(np.linalg.norm(g.matrix) * np.linalg.norm(g.inv_matrix)
-                           * alg._basis_scale))
-    if res.max(initial=0.0) > tol.gate(scale):
-        raise AdjointOutOfSpan(f"Ad(g) residual {res.max():.3e}")
-    return cols
+    return _conjugate_coords(g, alg.basis, alg._basis_scale, tol, "Ad(g)").T
 
 
 def tau_group(g: GroupElement, grading: Grading | None = None,

@@ -242,10 +242,8 @@ def subspace_gap_standard(v1: StandardSubspace, v2: StandardSubspace) -> float:
 def subspace_contained(v1: StandardSubspace, v2: StandardSubspace,
                        tol: Tolerance = DEFAULT_TOL) -> bool:
     """Real-linear containment span(v1) within span(v2) at tolerance."""
-    q2 = np.linalg.qr(_realify(v2.basis))[0]
-    q1 = np.linalg.qr(_realify(v1.basis))[0]
-    resid = q1 - q2 @ (q2.T @ q1)
-    return bool(np.linalg.norm(resid, 2) <= np.sqrt(tol.abs_tol))
+    excess = numkit.subspace_excess(_realify(v2.basis), _realify(v1.basis))
+    return bool(excess <= np.sqrt(tol.abs_tol))
 
 
 def graph_projection(s, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

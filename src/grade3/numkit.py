@@ -29,6 +29,7 @@ __all__ = [
     "loewner_leq",
     "eigvals_clustered",
     "quad_adaptive",
+    "subspace_excess",
     "subspace_gap",
 ]
 
@@ -218,16 +219,22 @@ def quad_adaptive(f, a: float, b: float, tol: float = 1e-8, max_depth: int = 40)
     return recurse(float(a), float(b), _gl_panel(f, float(a), float(b)), float(tol), 0)
 
 
+def subspace_excess(u, v) -> float:
+    """sin of the largest angle between span(v) and span(u), seen from v:
+    the norm of (I - P_u) Q_v, zero exactly when span(v) lies in span(u)."""
+    qu = np.linalg.qr(np.atleast_2d(u))[0]
+    qv = np.linalg.qr(np.atleast_2d(v))[0]
+    # ||(I - P_u) Q_v|| = sin(theta_max), stable for tiny angles
+    resid = qv - qu @ (qu.conj().T @ qv)
+    return float(np.linalg.norm(resid, 2))
+
+
 def subspace_gap(u, v) -> float:
     """sin of the largest principal angle between the column spans of u, v.
 
     Returns 1.0 when dimensions differ.  Used for 'same subspace' checks."""
     u = np.atleast_2d(u)
     v = np.atleast_2d(v)
-    qu = np.linalg.qr(u)[0]
-    qv = np.linalg.qr(v)[0]
-    if qu.shape[1] != qv.shape[1]:
+    if min(u.shape) != min(v.shape):
         return 1.0
-    # ||(I - P_u) Q_v|| = sin(theta_max), stable for tiny angles
-    resid = qv - qu @ (qu.conj().T @ qv)
-    return float(np.linalg.norm(resid, 2))
+    return subspace_excess(u, v)

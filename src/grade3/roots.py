@@ -56,6 +56,7 @@ class RootDatum:
         return self.cartan.shape[0]
 
     def index_of(self, alpha, atol: float = 1e-8) -> int:
+        """Index of the root equal to alpha within atol; KeyError if none."""
         alpha = np.asarray(alpha, dtype=complex)
         for i, r in enumerate(self.roots):
             if np.allclose(r, alpha, atol=atol):
@@ -168,24 +169,16 @@ def root_decomposition(algebra: LieAlgebraSpec, cartan,
         raise NotCartan(
             f"centralizer of t has dimension {zero_dim}, expected {k}"
         )
+    datum = RootDatum(algebra, t_mat, roots, vectors, types=[])
     for r in roots:
         try:
-            _match(roots, -r)
+            datum.index_of(-r)
         except KeyError:
             raise NotCartan(f"root {r} has no negative") from None
 
-    types = [
-        _classify(algebra, t_mat, roots[i], vectors[i], tol)
-        for i in range(len(roots))
-    ]
-    return RootDatum(algebra, t_mat, roots, vectors, types)
-
-
-def _match(roots, alpha, atol: float = 1e-8) -> int:
-    for i, r in enumerate(roots):
-        if np.allclose(r, alpha, atol=atol):
-            return i
-    raise KeyError(alpha)
+    datum.types.extend(_classify(algebra, t_mat, alpha, x, tol)
+                       for alpha, x in zip(roots, vectors))
+    return datum
 
 
 def _classify(algebra, t_mat, alpha, x, tol: Tolerance) -> str:
@@ -215,13 +208,11 @@ def classify_root(datum: RootDatum, alpha) -> str:
 
 
 def _dual_rays(rows: np.ndarray, k: int, tol: Tolerance) -> np.ndarray:
-    """Generators of {x in R^k : rows @ x >= 0} for k <= 3.
+    """Generators of {x in R^k : rows @ x >= 0}.
 
     Splits off the lineality space (nullspace of rows) and enumerates
     extreme rays of the pointed part through nullspaces of row subsets.
     """
-    if k > 3:
-        raise ValueError("facet enumeration is implemented for dimension <= 3 only")
     if rows.size == 0:
         return np.hstack([np.eye(k), -np.eye(k)])
     u, s, vt = np.linalg.svd(rows)

@@ -29,7 +29,6 @@ __all__ = [
     "member_decomposed",
     "triangular_factor",
     "polar_factor",
-    "strip_check_abelian",
 ]
 
 
@@ -116,8 +115,14 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     if np.linalg.norm(op @ x_lead + 2.0 * s * w_lead) > tol.gate(scale):
         raise NotInOpenCell("leading-factor linear system is inconsistent")
 
+    # A diverging leading factor overflows exp before any check sees it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead_inv = numkit.expm(alg.to_matrix(-x_lead))
+    if not np.isfinite(lead_inv).all():
+        raise NotInOpenCell("leading factor exp(-x) overflows")
+
     try:
-        g1 = GroupElement.exp(alg, -x_lead) @ g
+        g1 = GroupElement(alg, lead_inv) @ g
         r = ad_image(g1, h, tol) - h
         off = r - grading.part(r, -s)
         if np.linalg.norm(off) > tol.gate(scale):
@@ -190,17 +195,3 @@ def polar_factor(g: GroupElement, grading: Grading,
         raise NotPolar(f"reconstruction residual {residual:.3e}")
     return PolarFactorization(g0, x, residual)
 
-
-def strip_check_abelian(x, cone_pm: Cone, steps: int = 64,
-                        tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Grid version of the abelian strip criterion.
-
-    For x in g^{+-1} the boundary-value condition reduces to
-    sin(y) x in C_{+-} for all y in [0, pi], which the grid checks directly;
-    by positive homogeneity it is equivalent to x in C_{+-} itself.
-    """
-    x = np.asarray(x, dtype=float)
-    for y in np.linspace(0.0, np.pi, steps):
-        if not cone_pm.contains(np.sin(y) * x, tol):
-            return False
-    return True

@@ -13,7 +13,7 @@ import numpy as np
 from . import catalog, modular, numkit, roots, semigroup
 from .cones import gram_to_poly, invariance_check, poly_eval
 from .errors import NotInOpenCell, UnknownSuite
-from .liealg import GroupElement, LieAlgebraSpec, ad_image, adjoint, sharp
+from .liealg import GroupElement, ad_image, adjoint, sharp
 from .numkit import DEFAULT_TOL, Tolerance
 
 __all__ = ["SUITE_NAMES", "run_suite"]
@@ -420,32 +420,10 @@ def _suite_modular(rng, samples, tol):
 # -- roots --------------------------------------------------------------
 
 
-def _sl2_pair_algebra() -> LieAlgebraSpec:
-    sl2 = catalog.get_entry("sl2").algebra
-    basis = []
-    for offset in (0, 2):
-        for b in sl2.basis:
-            z = np.zeros((4, 4), dtype=complex)
-            z[offset:offset + 2, offset:offset + 2] = b
-            basis.append(z)
-    return LieAlgebraSpec("sl2+sl2", basis)
-
-
-def _root_fixtures():
-    out = [("sl2", catalog.get_entry("sl2").algebra,
-            np.array([[0.0, 1.0, -1.0]]), "noncompact_simple")]
-    out.append(("su2", catalog.build_su2(), np.array([[1.0, 0.0, 0.0]]), "compact"))
-    pair = _sl2_pair_algebra()
-    cartan = np.zeros((2, 6))
-    cartan[0, 1], cartan[0, 2] = 1.0, -1.0
-    cartan[1, 4], cartan[1, 5] = 1.0, -1.0
-    out.append(("sl2+sl2", pair, cartan, "noncompact_simple"))
-    return out
-
-
 def _suite_roots(rng, samples, tol):
     checks = []
-    fixtures = _root_fixtures()
+    fixtures = [(name, *catalog.root_fixture(name))
+                for name in catalog.ROOT_FIXTURE_NAMES]
     data = {}
     tag_bad = 0
     for name, alg, cartan, expect in fixtures:
@@ -462,17 +440,17 @@ def _suite_roots(rng, samples, tol):
             for j, (aj, vj) in enumerate(zip(datum.roots, datum.vectors)):
                 w = alg.bracket(vi, vj)
                 target = ai + aj
-                k = next((idx for idx, r in enumerate(datum.roots)
-                          if np.allclose(r, target, atol=1e-8)), None)
-                if k is not None:
-                    vk = datum.vectors[k]
+                try:
+                    vk = datum.vectors[datum.index_of(target)]
+                except KeyError:
+                    if np.allclose(target, 0.0, atol=1e-8):
+                        coeff, _ = numkit.solve_lstsq(t_rows.T, w)
+                        resid = float(np.linalg.norm(t_rows.T @ coeff - w))
+                    else:
+                        resid = float(np.linalg.norm(w))
+                else:
                     coeff = (vk.conj() @ w) / (vk.conj() @ vk)
                     resid = float(np.linalg.norm(w - coeff * vk))
-                elif np.allclose(target, 0.0, atol=1e-8):
-                    coeff, _ = numkit.solve_lstsq(t_rows.T, w)
-                    resid = float(np.linalg.norm(t_rows.T @ coeff - w))
-                else:
-                    resid = float(np.linalg.norm(w))
                 worst = max(worst, resid)
     checks.append(_leq("root_space_bracket", worst, 1e-8))
 

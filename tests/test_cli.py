@@ -5,6 +5,8 @@ subprocess test covers the python -m entry point.
 """
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -278,6 +280,27 @@ def test_roots_demos(capsys):
     code, payload = run_json(capsys, "roots", "--demo", "su2")
     assert code == 0
     assert payload["datum"]["types"] == ["compact", "compact"]
+    code, payload = run_json(capsys, "roots", "--demo", "sl2+sl2", "--x0", "[1.0, -2.0]")
+    assert code == 0
+    assert payload["datum"]["types"] == ["noncompact_simple"] * 4
+    assert sorted(payload["c_max_generators"]) == [[0.0, -1.0], [1.0, 0.0]]
+
+
+# Recorded from cli.main before the single-code-path refactor of the
+# coordinate solve, root lookup and root fixtures; a later change that alters
+# this output on purpose re-records it and says so in CHANGES.md.
+TRANSCRIPT = pathlib.Path(__file__).with_name("cli_transcript.json")
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def test_cli_transcript(capsys):
+    cases = json.loads(TRANSCRIPT.read_text())
+    assert len(cases) >= 20
+    for case in cases:
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert code == case["code"], case["argv"]
+        assert json.loads(out) == json.loads(case["stdout"]), case["argv"]
+        assert _NUMBER.sub("#", out) == _NUMBER.sub("#", case["stdout"]), case["argv"]
 
 
 def test_module_entry_point():

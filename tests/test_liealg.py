@@ -37,6 +37,44 @@ def test_sl2_structure_constants(sl2):
     np.testing.assert_allclose(alg.bracket(E, E), np.zeros(3), atol=1e-12)
 
 
+# Every algebra the package builds: the nine catalog entries and the root
+# fixtures that are not catalog entries.
+ALGEBRAS = [catalog.get_entry(n).algebra for n in catalog.ENTRY_NAMES] + [
+    catalog.root_fixture(n)[0] for n in ("su2", "sl2+sl2")]
+EPS = np.finfo(np.float64).eps
+
+
+def _bound(alg, scale):
+    """Forward-error bound of a float64 sum over the 2 r^2 stacked matrix
+    entries that one coordinate solve adds up, for data of size scale."""
+    return 2 * alg.rep_dim**2 * EPS * max(1.0, scale)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
+def test_structure_constants_match_pairwise_solve(alg):
+    # Reference: one try_coords call per basis pair.
+    ref = np.empty((alg.dim, alg.dim, alg.dim))
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            bi, bj = alg.basis[i], alg.basis[j]
+            ref[i, j], res = alg.try_coords(bi @ bj - bj @ bi)
+            assert res <= _bound(alg, alg._basis_scale**2)
+    np.testing.assert_allclose(alg.structure_constants, ref, rtol=0,
+                               atol=_bound(alg, np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_adjoint_matrix_matches_ad_image(name, rng):
+    entry = catalog.get_entry(name)
+    for _ in range(5):
+        g = catalog.sample_group_element(entry, rng)
+        x = rng.normal(size=entry.algebra.dim)
+        scale = (np.linalg.norm(g.matrix) * np.linalg.norm(g.inv_matrix)
+                 * np.linalg.norm(x))
+        np.testing.assert_allclose(adjoint(g) @ x, ad_image(g, x), rtol=0,
+                                   atol=_bound(entry.algebra, scale))
+
+
 def test_jacobi_defect_vanishes(sl2, poincare3, jacobi1):
     for entry in (sl2, poincare3, jacobi1):
         assert entry.algebra.jacobi_defect() < 1e-10

@@ -94,6 +94,15 @@ def test_subspace_containment(rng):
     assert not modular.subspace_contained(v, w)
 
 
+def test_proper_subspan_is_contained(rng):
+    v = modular.random_standard_subspace(4, rng)
+    part = StandardSubspace(v.basis[:, :2] @ (rng.normal(size=(2, 2)) + 2 * np.eye(2)))
+    assert modular.subspace_contained(part, v)
+    assert not modular.subspace_contained(v, part)
+    # the two-sided gap still reports unequal dimensions as fully apart
+    assert modular.subspace_gap_standard(part, v) == 1.0
+
+
 def test_rigidity_under_real_basis_change(rng):
     v = modular.random_standard_subspace(5, rng)
     t = rng.normal(size=(5, 5)) + np.eye(5)

@@ -92,22 +92,11 @@ def test_find_adapted_x0(sl2_datum, rng):
 
 
 def test_rank_two_product():
-    blocks = []
-    base = catalog.get_entry("sl2").algebra
-    for pos in (0, 1):
-        for k in range(3):
-            m = np.zeros((4, 4), dtype=complex)
-            sl = slice(2 * pos, 2 * pos + 2)
-            m[sl, sl] = base.to_matrix(np.eye(3)[k])
-            blocks.append(m)
-    algebra = type(base)("sl2 x sl2", blocks)
-    cartan = np.zeros((2, 6))
-    cartan[0, 1], cartan[0, 2] = 1.0, -1.0
-    cartan[1, 4], cartan[1, 5] = 1.0, -1.0
+    algebra, cartan, tag = catalog.root_fixture("sl2+sl2")
     datum = roots.root_decomposition(algebra, cartan)
     assert datum.rank == 2
     assert len(datum.roots) == 4
-    assert all(t == "noncompact_simple" for t in datum.types)
+    assert all(t == tag == "noncompact_simple" for t in datum.types)
     x0 = roots.find_adapted_x0(datum, np.random.default_rng(5))
     cone = roots.c_max(datum, x0, tol=roots.DEFAULT_TOL)
     # quadrant-like: two generators, pointed
@@ -115,6 +104,21 @@ def test_rank_two_product():
     mid = cone.generators.sum(axis=1)
     assert cone.violation(mid / np.linalg.norm(mid)) <= 1e-9
     assert cone.violation(-mid / np.linalg.norm(mid)) > 0.5
+
+
+def test_cmax_product_of_four_sl2():
+    # Cartan rank 4: the row-subset ray enumeration has no rank cap
+    algebra, cartan, _ = catalog.direct_sum([catalog.root_fixture("sl2")] * 4)
+    datum = roots.root_decomposition(algebra, cartan)
+    assert datum.rank == 4 and len(datum.roots) == 8
+    x0 = roots.find_adapted_x0(datum, np.random.default_rng(5))
+    cone = roots.c_max(datum, x0)
+    assert cone.generators.shape == (4, 4)
+    ivals = datum.i_values(x0)
+    rows = np.array([[-np.imag(v) for v in datum.roots[i]]
+                     for i in range(len(ivals)) if ivals[i] > 0])
+    for x in np.random.default_rng(0).normal(size=(300, 4)):
+        assert cone.contains(x) == bool((rows @ x).min() >= 0)
 
 
 def test_classification_invariant_under_scaling(sl2_datum):
