@@ -85,7 +85,7 @@ def sl2_member_direct(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> bool:
     membership amounts to ab >= 0, cd >= 0 and bc >= 0."""
     a, b = g.matrix[0]
     c, d = g.matrix[1]
-    slack = tol.gate(max(1.0, float(np.abs(g.matrix).max()) ** 2))
+    slack = tol.gate(float(np.abs(g.matrix).max()) ** 2)
     return bool(a * b >= -slack and c * d >= -slack and b * c >= -slack)
 
 
@@ -148,7 +148,7 @@ def build_poincare(d: int = 3) -> CatalogEntry:
     def member_direct(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> bool:
         ell = g.matrix[:d, :d]
         v = g.matrix[:d, d]
-        if np.abs(k @ ell - ell @ k).max() > tol.gate(max(1.0, np.abs(ell).max())):
+        if np.abs(k @ ell - ell @ k).max() > tol.gate(np.abs(ell).max()):
             return False
         w = k @ v  # the shift h - Ad(g)h as a translation vector
         return bool(np.linalg.norm(w[1:]) - w[0] <= tol.abs_tol)
@@ -419,12 +419,11 @@ def sample_algebra_element(entry: CatalogEntry, rng: np.random.Generator,
 
 
 def sample_group_element(entry: CatalogEntry, rng: np.random.Generator,
-                         scale: float = 0.5, factors: int = 2) -> GroupElement:
-    g = GroupElement.exp(entry.algebra, sample_algebra_element(entry, rng, scale))
-    for _ in range(factors - 1):
-        g = g @ GroupElement.exp(entry.algebra,
-                                 sample_algebra_element(entry, rng, scale))
-    return g
+                         scale: float = 0.5) -> GroupElement:
+    """exp(x1) exp(x2) for two independent algebra samples."""
+    alg = entry.algebra
+    g = GroupElement.exp(alg, sample_algebra_element(entry, rng, scale))
+    return g @ GroupElement.exp(alg, sample_algebra_element(entry, rng, scale))
 
 
 def sample_stabilizer(entry: CatalogEntry, rng: np.random.Generator,

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import catalog, modular, numkit, roots, semigroup, verify
+from .cones import Cone
 from .errors import Grade3Error
 from .liealg import GroupElement, LieAlgebraSpec, grade_by
 from .numkit import Tolerance
@@ -99,12 +100,11 @@ def _document(args):
     return None
 
 
-def _load_setting(args):
-    """(algebra, grading, cone or None) from --demo or --file."""
-    doc = _document(args)
+def _load_setting(args, doc):
+    """(algebra, grading, cone or None) from --demo or the --file document."""
     if getattr(args, "demo", None):
         entry = catalog.get_entry(args.demo)
-        return entry.algebra, entry.grading, entry.cone, entry
+        return entry.algebra, entry.grading, entry.cone
     if doc is None:
         raise UsageError("need --demo NAME or --file FILE")
     try:
@@ -116,15 +116,13 @@ def _load_setting(args):
     cone = None
     if "cone" in doc:
         try:
-            from .cones import Cone
             cone = Cone.from_json(doc["cone"], ambient_dim=algebra.dim)
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad cone document: {exc}") from exc
-    return algebra, grading, cone, None
+    return algebra, grading, cone
 
 
-def _need_g(args, algebra) -> GroupElement:
-    doc = _document(args)
+def _need_g(args, algebra, doc) -> GroupElement:
     if getattr(args, "g", None) is not None:
         m = _as_matrix(args.g, "--g")
     elif doc is not None and "g" in doc:
@@ -148,28 +146,31 @@ def _random_dim(args) -> int:
 
 
 def _cmd_grade(args, tol, rng):
-    algebra, grading, _, entry = _load_setting(args)
+    _, grading, _ = _load_setting(args, _document(args))
     return 0, {"dims": list(grading.dims)}
 
 
 def _cmd_member(args, tol, rng):
-    algebra, grading, cone, entry = _load_setting(args)
+    doc = _document(args)
+    algebra, grading, cone = _load_setting(args, doc)
     if cone is None:
         raise UsageError("membership needs a cone (catalog demo or 'cone' entry)")
-    g = _need_g(args, algebra)
+    g = _need_g(args, algebra, doc)
     return 0, {"member": semigroup.member_ShC(g, grading, cone, tol)}
 
 
 def _cmd_factor(args, tol, rng):
-    algebra, grading, cone, entry = _load_setting(args)
-    g = _need_g(args, algebra)
+    doc = _document(args)
+    algebra, grading, _ = _load_setting(args, doc)
+    g = _need_g(args, algebra, doc)
     f = semigroup.triangular_factor(g, grading, args.order, tol)
     return 0, f.to_json()
 
 
 def _cmd_polar(args, tol, rng):
-    algebra, grading, cone, entry = _load_setting(args)
-    g = _need_g(args, algebra)
+    doc = _document(args)
+    algebra, grading, _ = _load_setting(args, doc)
+    g = _need_g(args, algebra, doc)
     f = semigroup.polar_factor(g, grading, tol)
     return 0, f.to_json()
 

@@ -96,12 +96,11 @@ class Cone:
 
     def __init__(self, kind: str, ambient_dim: int, *, generators=None, d=None,
                  n=None, inject=None, violation_fn=None, sampler=None,
-                 pointed: bool = True, label: str = ""):
+                 label: str = ""):
         if kind not in _KINDS:
             raise ValueError(f"unknown cone kind {kind!r}")
         self.kind = kind
         self.ambient_dim = int(ambient_dim)
-        self.pointed = bool(pointed)
         self.label = label
         self.d = d
         self.n = n
@@ -249,6 +248,7 @@ class Cone:
             raise ValueError("custom cones are not serializable")
         if self._inject is not None:
             out["embedded"] = True
+            out["inject"] = numkit.matrix_to_json(self._inject)
         return out
 
     @classmethod
@@ -265,14 +265,21 @@ class Cone:
                 return cls("polyhedral", ambient_dim)
             return cls("polyhedral", gens.shape[1], generators=gens.T)
         if kind == "sl2_lorentz":
-            return cls("sl2_lorentz", 3)
-        if kind == "light_cone":
-            dd = int(d["d"])
-            return cls("light_cone", dd, d=dd)
-        if kind == "nonneg_poly":
+            dim, native = 3, {}
+        elif kind == "light_cone":
+            dim = int(d["d"])
+            native = {"d": dim}
+        elif kind == "nonneg_poly":
             n = int(d["n"])
-            return cls("nonneg_poly", nonneg_poly_dim(n), n=n)
-        raise ValueError(f"cone kind {kind!r} is not serializable")
+            dim, native = nonneg_poly_dim(n), {"n": n}
+        else:
+            raise ValueError(f"cone kind {kind!r} is not serializable")
+        if d.get("embedded"):  # the cone lives in the ambient space of inject
+            if "inject" not in d:
+                raise ValueError("embedded cone has no 'inject' matrix")
+            native["inject"] = numkit.matrix_from_json(d["inject"])
+            dim = native["inject"].shape[0]
+        return cls(kind, dim, **native)
 
     def __repr__(self):
         tag = self.label or self.kind

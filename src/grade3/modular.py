@@ -98,27 +98,16 @@ class ModularPair:
             "j_unitary": numkit.matrix_to_json(self.j_unitary),
         }
 
-    @classmethod
-    def from_json(cls, d: dict) -> "ModularPair":
-        try:
-            return cls(numkit.matrix_from_json(d["delta"]),
-                       numkit.matrix_from_json(d["j_unitary"]))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad modular pair object: {exc}") from exc
-
 
 def is_standard(v: StandardSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """V is standard: dim_R V = n, V cap iV = 0, V + iV = C^n (rank tests)."""
+    """V is standard: dim_R V = n, V cap iV = 0, V + iV = C^n, which for n
+    basis vectors b means the 2n real columns of b and ib are independent."""
     b = v.basis
     n, k = b.shape
     if k != n:
         return False
-    rb = _realify(b)
-    stack = np.hstack([rb, _realify(1j * b)])
-    sv_b = np.linalg.svd(rb, compute_uv=False)
-    sv_s = np.linalg.svd(stack, compute_uv=False)
-    thresh = 1e-10 * max(1.0, sv_s[0])
-    return bool(sv_b.min() > thresh and sv_s.min() > thresh)
+    stack = np.hstack([_realify(b), _realify(1j * b)])
+    return not numkit.null_space(stack).shape[1]
 
 
 def _tomita_linear_part(v: StandardSubspace, tol: Tolerance) -> np.ndarray:
@@ -150,12 +139,12 @@ def modular_pair(v: StandardSubspace, tol: Tolerance = DEFAULT_TOL) -> ModularPa
     delta = delta.conj()
     pair = ModularPair(delta=delta, j_unitary=u_j)
     defect = _modular_defect(pair)
-    scale = max(1.0, float(np.abs(delta).max()) ** 2)
-    if defect > tol.gate(scale):
+    size = float(np.abs(delta).max())
+    if defect > tol.gate(size**2):
         raise ModularRelationViolated(f"modular relation defect {defect:.3e}")
     recovered = _fixed_space(a, v.n)
     gap = subspace_gap_standard(v, StandardSubspace(recovered))
-    if gap > tol.gate(np.sqrt(scale)):
+    if gap > tol.gate(size):
         raise ModularRelationViolated(f"Fix(J Delta^{{1/2}}) misses V (gap {gap:.3e})")
     return pair
 
@@ -178,9 +167,7 @@ def _fixed_space(a: np.ndarray, n: int) -> np.ndarray:
     ar, ai = a.real, a.imag
     eye = np.eye(n)
     f = np.block([[ar - eye, ai], [ai, -(ar + eye)]])
-    _, s, vt = np.linalg.svd(f)
-    smax = max(1.0, s[0] if s.size else 1.0)
-    null = vt[np.sum(s >= 1e-8 * smax):].T
+    null = numkit.null_space(f, rtol=1e-8)
     return null[:n] + 1j * null[n:]
 
 
@@ -196,7 +183,7 @@ def standard_from_pair(pair: ModularPair, tol: Tolerance = DEFAULT_TOL) -> Stand
     if evals.min() <= tol.abs_tol:
         raise ModularRelationViolated("delta is not positive definite")
     defect = _modular_defect(pair)
-    if defect > tol.gate(max(1.0, float(np.abs(d).max()) ** 2)):
+    if defect > tol.gate(float(np.abs(d).max()) ** 2):
         raise ModularRelationViolated(f"modular relation defect {defect:.3e}")
     sqrt_d = (evecs * np.sqrt(evals)) @ evecs.conj().T
     a = u @ sqrt_d.conj()
@@ -259,14 +246,14 @@ def graph_projection(s, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     q = np.linalg.qr(g)[0]
     p = q @ q.conj().T
     gram_inv = np.linalg.inv(np.eye(n) + s.conj().T @ s)
-    scale = max(1.0, float(np.abs(s).max(initial=0.0)) ** 2)
+    scale = float(np.abs(s).max(initial=0.0)) ** 2
     if np.abs(p[:n, :n] - gram_inv).max() > tol.gate(scale) or \
        np.abs(p[:n, n:] - gram_inv @ s.conj().T).max() > tol.gate(scale):
         raise ArithmeticError("graph projection disagrees with its closed form")
     return p
 
 
-def log_integral(z: complex, quad_tol: float = 1e-8) -> complex:
+def log_integral(z: complex) -> complex:
     """log z for Re z > 0 through the integral of 1/(x+1) - 1/(x+z) over
     x in [0, inf), after the substitution x = t/(1-t) the integrand is the
     smooth function (z-1)/(t + z(1-t)) on [0, 1]."""
@@ -277,7 +264,7 @@ def log_integral(z: complex, quad_tol: float = 1e-8) -> complex:
     def f(t):
         return (z - 1.0) / (t + z * (1.0 - t))
 
-    val = numkit.quad_adaptive(f, 0.0, 1.0, tol=min(float(quad_tol), 1e-8))
+    val = numkit.quad_adaptive(f, 0.0, 1.0, tol=1e-8)
     return complex(val)
 
 

@@ -3,7 +3,9 @@
 Thin, deterministic wrappers around numpy/scipy primitives plus the pieces
 they do not provide: principal-log branch-cut detection, the Loewner order,
 eigenvalue clustering, adaptive Gauss-Legendre quadrature, and the JSON
-matrix codec.  All tolerances flow through a single Tolerance object.
+matrix codec.  It owns the tolerance policy: residual gates go through
+Tolerance.gate, which floors the data scale at 1, while the rank cutoff
+RANK_RTOL and the eigenvalue gap CLUSTER_GAP are fixed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "CLUSTER_GAP",
+    "RANK_RTOL",
     "require_finite",
     "matrix_to_json",
     "matrix_from_json",
@@ -27,6 +30,8 @@ __all__ = [
     "solve_lstsq",
     "hermitian_defect",
     "loewner_leq",
+    "null_space",
+    "clusters",
     "eigvals_clustered",
     "quad_adaptive",
     "subspace_excess",
@@ -37,13 +42,17 @@ __all__ = [
 # design, independent of the user tolerance.
 CLUSTER_GAP = 1e-8
 
+# Relative singular-value cutoff for numerical rank, also fixed by design.
+RANK_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute/relative tolerance pair used across the package.
 
     abs_tol gates absolute residuals and one-sided cone slacks; rel_tol
-    scales with the problem data through gate().
+    scales with the problem data through gate(), which floors the data
+    scale at 1 so that small data never tighten a gate below unit scale.
     """
 
     abs_tol: float = 1e-9
@@ -55,7 +64,7 @@ class Tolerance:
 
     def gate(self, scale: float = 1.0) -> float:
         """Largest residual accepted for data of the given magnitude."""
-        return self.abs_tol + self.rel_tol * abs(scale)
+        return self.abs_tol + self.rel_tol * max(1.0, abs(scale))
 
 
 DEFAULT_TOL = Tolerance()
@@ -161,44 +170,60 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     if a.shape != b.shape:
         raise ValueError("shape mismatch in Loewner comparison")
     for name, m in (("first", a), ("second", b)):
-        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        if hermitian_defect(m) > tol.gate(scale):
+        if hermitian_defect(m) > tol.gate(float(np.abs(m).max(initial=0.0))):
             raise NotSelfAdjoint(f"{name} argument is not self-adjoint")
     diff = b - a
     diff = (diff + diff.conj().T) / 2
     return bool(np.linalg.eigvalsh(diff).min() >= -tol.abs_tol)
 
 
-def eigvals_clustered(a, gap: float = CLUSTER_GAP) -> np.ndarray:
+def null_space(a, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal columns spanning the null space of a: the right singular
+    vectors whose singular value is at most rtol * max(1, largest)."""
+    _, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > rtol * max(1.0, s[0] if s.size else 0.0)))
+    return vt[rank:].conj().T
+
+
+def clusters(vals, gap: float) -> list[np.ndarray]:
+    """Index groups of vals in the order of their real parts (imaginary
+    parts breaking ties): each group is a maximal consecutive run within gap
+    of its first member."""
+    vals = np.asarray(vals)
+    order = np.argsort(vals.real + 1e-3 * vals.imag, kind="stable")
+    seq = vals[order].tolist()
+    runs, start = [], 0
+    for j in range(1, len(seq) + 1):
+        if j == len(seq) or not abs(seq[j] - seq[start]) <= gap:
+            runs.append(order[start:j])
+            start = j
+    return runs
+
+
+def eigvals_clustered(a) -> np.ndarray:
     """Eigenvalues of a via the (complex) Schur form, with values closer than
-    gap merged onto their mean.  Robust for the non-normal matrices produced
-    by adjoint actions in non-orthogonal bases."""
+    CLUSTER_GAP merged onto their mean.  Robust for the non-normal matrices
+    produced by adjoint actions in non-orthogonal bases."""
     a = np.atleast_2d(a)
     t = scipy.linalg.schur(a.astype(complex), output="complex")[0]
     vals = np.diag(t).copy()
-    order = np.argsort(vals.real + 1e-3 * vals.imag, kind="stable")
-    merged = vals[order]
-    i = 0
-    while i < len(merged):
-        j = i + 1
-        while j < len(merged) and abs(merged[j] - merged[i]) <= gap:
-            j += 1
-        merged[i:j] = merged[i:j].mean()
-        i = j
-    out = np.empty_like(vals)
-    out[order] = merged
+    out = vals.copy()
+    for run in clusters(vals, CLUSTER_GAP):
+        out[run] = vals[run].mean()
     return out
 
 
 # 15-point Gauss-Legendre rule used by the adaptive quadrature.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_GL_MAX_DEPTH = 40  # bisections after which a panel is accepted as it is
 
 
 def _gl_panel(f, a: float, b: float):
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return half * np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES))
 
-def quad_adaptive(f, a: float, b: float, tol: float = 1e-8, max_depth: int = 40):
+
+def quad_adaptive(f, a: float, b: float, tol: float = 1e-8):
     """Adaptive Gauss-Legendre integral of f over [a, b].
 
     f must accept a numpy array of nodes and return values (real or complex).
@@ -210,7 +235,7 @@ def quad_adaptive(f, a: float, b: float, tol: float = 1e-8, max_depth: int = 40)
         mid = (lo + hi) / 2.0
         left = _gl_panel(f, lo, mid)
         right = _gl_panel(f, mid, hi)
-        if depth >= max_depth or abs(left + right - whole) <= budget:
+        if depth >= _GL_MAX_DEPTH or abs(left + right - whole) <= budget:
             return left + right
         return recurse(lo, mid, left, budget / 2.0, depth + 1) + recurse(
             mid, hi, right, budget / 2.0, depth + 1

@@ -30,9 +30,6 @@ __all__ = [
     "star",
 ]
 
-# Joint eigenvalues are merged below this separation.
-_EIG_GAP = 1e-8
-
 
 def star(v) -> np.ndarray:
     """The involution (x + iy)* = -x + iy on coefficient vectors."""
@@ -55,11 +52,12 @@ class RootDatum:
     def rank(self) -> int:
         return self.cartan.shape[0]
 
-    def index_of(self, alpha, atol: float = 1e-8) -> int:
-        """Index of the root equal to alpha within atol; KeyError if none."""
+    def index_of(self, alpha) -> int:
+        """Index of the root equal to alpha within numkit.CLUSTER_GAP;
+        KeyError if none."""
         alpha = np.asarray(alpha, dtype=complex)
         for i, r in enumerate(self.roots):
-            if np.allclose(r, alpha, atol=atol):
+            if np.allclose(r, alpha, atol=numkit.CLUSTER_GAP):
                 return i
         raise KeyError(f"{alpha} is not a root of this datum")
 
@@ -94,17 +92,9 @@ def _refine_blocks(blocks, a, gap):
             continue
         a_res = q.conj().T @ (a @ q)
         w, vec = np.linalg.eig(a_res)
-        if np.linalg.matrix_rank(vec, tol=1e-10) < q.shape[1]:
+        if numkit.null_space(vec).shape[1]:
             raise NotCartan("ad(t) is not semisimple on the complexification")
-        groups: list[list[int]] = []
-        for i in np.argsort(w.real + 1e-3 * w.imag):
-            for grp in groups:
-                if abs(w[i] - w[grp[0]]) < gap:
-                    grp.append(i)
-                    break
-            else:
-                groups.append([i])
-        for grp in groups:
+        for grp in numkit.clusters(w, gap):
             sub = np.linalg.qr(vec[:, grp])[0]
             out.append(q @ sub)
     return out
@@ -124,16 +114,16 @@ def root_decomposition(algebra: LieAlgebraSpec, cartan,
     k, dim = t_mat.shape
     if dim != algebra.dim:
         raise ValueError("cartan vectors do not match the algebra dimension")
-    if np.linalg.matrix_rank(t_mat, tol=1e-10) != k:
+    if numkit.null_space(t_mat.T).shape[1]:
         raise ValueError("cartan vectors are linearly dependent")
-    scale = max(1.0, float(np.abs(t_mat).max()))
+    scale = float(np.abs(t_mat).max())
     for i in range(k):
         for j in range(i + 1, k):
             if np.abs(algebra.bracket(t_mat[i], t_mat[j])).max() > tol.gate(scale**2):
                 raise NotCartan("cartan subalgebra is not abelian")
 
     ads = [algebra.ad(t_mat[i]).astype(complex) for i in range(k)]
-    gap = _EIG_GAP * max(1.0, max(float(np.abs(a).max()) for a in ads))
+    gap = numkit.CLUSTER_GAP * max(1.0, max(float(np.abs(a).max()) for a in ads))
     blocks = [np.eye(algebra.dim, dtype=complex)]
     for a in ads:
         blocks = _refine_blocks(blocks, a, gap)
@@ -187,10 +177,10 @@ def _classify(algebra, t_mat, alpha, x, tol: Tolerance) -> str:
     z = algebra.bracket(x, star(x))
     coeff, _, _, _ = np.linalg.lstsq(t_mat.T.astype(complex), z, rcond=None)
     resid = float(np.abs(t_mat.T @ coeff - z).max())
-    if resid > tol.gate(max(1.0, float(np.abs(z).max()))):
+    if resid > tol.gate(float(np.abs(z).max())):
         raise NotCartan(f"[x, x*] leaves the Cartan subalgebra (residual {resid:.3e})")
     value = complex(np.dot(alpha, coeff))
-    if abs(value.imag) > tol.gate(max(1.0, abs(value))):
+    if abs(value.imag) > tol.gate(abs(value)):
         raise NotCartan(f"alpha([x, x*]) = {value} is not real")
     thr = tol.gate()
     if value.real > thr:
@@ -211,24 +201,20 @@ def _dual_rays(rows: np.ndarray, k: int, tol: Tolerance) -> np.ndarray:
     """Generators of {x in R^k : rows @ x >= 0}.
 
     Splits off the lineality space (nullspace of rows) and enumerates
-    extreme rays of the pointed part through nullspaces of row subsets.
+    extreme rays of the rest through nullspaces of row subsets.
     """
     if rows.size == 0:
         return np.hstack([np.eye(k), -np.eye(k)])
-    u, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
-    lineality = vt[rank:].T                      # (k, k - rank)
+    lineality = numkit.null_space(rows)          # (k, k - rank)
+    rank = k - lineality.shape[1]
     slack = tol.abs_tol * max(1.0, float(np.abs(rows).max()))
 
     rays = []
     for subset in combinations(range(rows.shape[0]), rank - 1):
-        m = np.vstack([rows[list(subset)], lineality.T]) if subset or lineality.size \
-            else np.zeros((0, k))
-        _, sm, vm = np.linalg.svd(m) if m.size else (None, np.zeros(0), np.eye(k))
-        null = vm[int(np.sum(sm > 1e-10 * max(1.0, sm[0] if sm.size else 1.0))):]
-        if null.shape[0] != 1:
+        null = numkit.null_space(np.vstack([rows[list(subset)], lineality.T]))
+        if null.shape[1] != 1:
             continue
-        d = null[0]
+        d = null[:, 0]
         for cand in (d, -d):
             if (rows @ cand).min() >= -slack:
                 cand = cand / np.linalg.norm(cand)

@@ -83,8 +83,7 @@ def member_P(g: GroupElement, grading: Grading, sign: int,
         raise ValueError("sign must be +1 or -1")
     r = ad_image(g, grading.h, tol) - grading.h
     off = r - grading.part(r, sign)
-    scale = max(1.0, float(np.linalg.norm(r)))
-    return bool(np.linalg.norm(off) <= tol.gate(scale))
+    return bool(np.linalg.norm(off) <= tol.gate(float(np.linalg.norm(r))))
 
 
 def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
@@ -100,7 +99,10 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     alg = g.algebra
     s = +1 if order == "+0-" else -1
     h = grading.h
-    w = ad_image(g, h, tol)
+    try:
+        w = ad_image(g, h, tol)
+    except np.linalg.LinAlgError as exc:
+        raise NotInOpenCell(f"g is numerically singular: {exc}") from exc
     w_lead = grading.part(w, s)    # graded part matching the leading factor
     w0 = grading.part(w, 0)
 
@@ -111,7 +113,7 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     rhs = basis.T @ (-2.0 * s * w_lead)
     sol, _ = numkit.solve_lstsq(mat, rhs)
     x_lead = basis @ sol
-    scale = max(1.0, float(np.linalg.norm(w)))
+    scale = float(np.linalg.norm(w))
     if np.linalg.norm(op @ x_lead + 2.0 * s * w_lead) > tol.gate(scale):
         raise NotInOpenCell("leading-factor linear system is inconsistent")
 
@@ -137,15 +139,15 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
         g0 = g1 @ GroupElement.exp(alg, -x_trail)
         if np.linalg.norm(ad_image(g0, h, tol) - h) > tol.gate(scale):
             raise NotInOpenCell("middle factor does not fix h")
-    except AdjointOutOfSpan as exc:
+    except (AdjointOutOfSpan, np.linalg.LinAlgError) as exc:
         # A diverging unipotent factor can push the intermediate conjugations
-        # past what the representation can verify; that is a failed
-        # factorization, not a broken group element.
+        # past what the representation can verify or invert; that is a
+        # failed factorization, not a broken group element.
         raise NotInOpenCell(f"factor verification failed: {exc}") from exc
 
     recon = (GroupElement.exp(alg, x_lead) @ g0 @ GroupElement.exp(alg, x_trail)).matrix
     residual = float(np.linalg.norm(recon - g.matrix))
-    if residual > tol.gate(max(1.0, float(np.linalg.norm(g.matrix)))):
+    if residual > tol.gate(float(np.linalg.norm(g.matrix))):
         raise NotInOpenCell(f"reconstruction residual {residual:.3e}")
 
     if s == +1:
@@ -179,19 +181,18 @@ def polar_factor(g: GroupElement, grading: Grading,
     m = (sharp(g, tol) @ g).matrix
     logm = numkit.logm_principal(m, tol)
     v, res = alg.try_coords(logm)
-    scale = max(1.0, float(np.abs(logm).max(initial=0.0)))
-    if res > tol.gate(scale):
+    if res > tol.gate(float(np.abs(logm).max(initial=0.0))):
         raise NotPolar("log of sharp(g) g leaves the algebra")
     x = v / 2.0
     sym = grading.tau @ x + x
-    if np.linalg.norm(sym) > tol.gate(max(1.0, float(np.linalg.norm(x)))):
+    if np.linalg.norm(sym) > tol.gate(float(np.linalg.norm(x))):
         raise NotPolar("odd part of the factorization is not tau-antifixed")
     g0 = g @ GroupElement.exp(alg, -x)
     if np.linalg.norm(ad_image(g0, grading.h, tol) - grading.h) > tol.gate():
         raise NotPolar("unit factor does not fix h")
     recon = (g0 @ GroupElement.exp(alg, x)).matrix
     residual = float(np.linalg.norm(recon - g.matrix))
-    if residual > tol.gate(max(1.0, float(np.linalg.norm(g.matrix)))):
+    if residual > tol.gate(float(np.linalg.norm(g.matrix))):
         raise NotPolar(f"reconstruction residual {residual:.3e}")
     return PolarFactorization(g0, x, residual)
 

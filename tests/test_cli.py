@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from grade3 import catalog
+from grade3 import catalog, cli
 from grade3.cli import _build_parser, main, render_json
 
 
@@ -309,3 +309,45 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"dims": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("name", ["poincare3", "jacobi1"])
+def test_member_file_with_embedded_demo_cone(capsys, tmp_path, name):
+    # the setting `demo` prints, cone included, answers like --demo
+    code, demo = run_json(capsys, "demo", name, "--json")
+    assert code == 0
+    g = json.dumps(demo["example"]["semigroup_element"])
+    entry = demo["entry"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({k: entry[k] for k in ("algebra", "h", "cone")}))
+    for argv in ([], ["--tol", "1e-15"]):
+        code_file, from_file = run_json(capsys, "member", "--file", str(path), "--g", g, *argv)
+        code_demo, from_demo = run_json(capsys, "member", "--demo", name, "--g", g, *argv)
+        assert code_file == code_demo == 0
+        assert from_file == from_demo
+
+
+def test_embedded_cone_without_injection_is_usage_error(capsys, tmp_path):
+    entry = catalog.get_entry("poincare3")
+    cone = entry.cone.to_json()
+    del cone["inject"]
+    doc = {"algebra": entry.algebra.to_json(), "h": [float(v) for v in entry.h],
+           "cone": cone, "g": np.eye(4).tolist()}
+    path = tmp_path / "no_inject.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "member", "--file", str(path))
+    assert code == 2 and out == "" and "inject" in err
+
+
+@pytest.mark.parametrize("verb", ["member", "factor", "polar"])
+def test_file_is_read_once(capsys, tmp_path, monkeypatch, verb):
+    entry = catalog.get_entry("sl2")
+    doc = {"algebra": entry.algebra.to_json(), "h": [float(v) for v in entry.h],
+           "cone": entry.cone.to_json(), "g": [[2.0, 1.0], [1.0, 1.0]]}
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(doc))
+    reads = []
+    original = cli._read_file
+    monkeypatch.setattr(cli, "_read_file", lambda p: reads.append(p) or original(p))
+    code, _, _ = run_cli(capsys, verb, "--file", str(path))
+    assert code == 0 and reads == [str(path)]

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from grade3 import catalog
 from grade3.cones import (
     Cone,
     gram_to_poly,
@@ -163,3 +166,24 @@ def test_invariance_check_on_catalog(sl2, poincare3, rng):
         assert rep["ok"]
         assert rep["max_ad_violation"] <= 1e-8
         assert rep["max_tau_violation"] <= 1e-8
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_serialization_roundtrip_catalog_cones(name):
+    # embedded cones carry their injection, so the copy lives in the same
+    # ambient space and agrees on cone points and off-cone points alike
+    cone = catalog.get_entry(name).cone
+    back = Cone.from_json(json.loads(json.dumps(cone.to_json())))
+    assert (back.kind, back.ambient_dim) == (cone.kind, cone.ambient_dim)
+    rng = np.random.default_rng(7)
+    points = [cone.sample(rng) for _ in range(10)]
+    points += [rng.normal(size=cone.ambient_dim) for _ in range(10)]
+    for x in points:
+        assert back.violation(x) == cone.violation(x)
+
+
+def test_embedded_cone_without_injection_is_rejected():
+    doc = catalog.get_entry("poincare3").cone.to_json()
+    del doc["inject"]
+    with pytest.raises(ValueError, match="inject"):
+        Cone.from_json(doc)

@@ -5,6 +5,8 @@ The sl2 basis is (h, e, f) with h = diag(1/2, -1/2), so [h, e] = e,
 these three brackets.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,17 @@ def test_complex_representation_real_coords():
     m = su2.to_matrix(x)
     assert np.iscomplexobj(m)
     np.testing.assert_allclose(su2.coords(m), x, atol=1e-12)
+
+
+def test_grade_by_rejects_bracket_leaving_its_degree(sl2):
+    # [e, f] = 2h gains an e-component, which lies in g^1 instead of g^0;
+    # ad(h) itself is untouched, so only the bracket check can see it
+    alg = copy.copy(sl2.algebra)
+    c = alg.structure_constants.copy()
+    c[1, 2, 1] += 0.5
+    c[2, 1, 1] -= 0.5
+    alg.structure_constants = c
+    alg._ad_tensor = np.ascontiguousarray(np.transpose(c, (0, 2, 1)))
+    np.testing.assert_array_equal(alg.ad(sl2.h), sl2.algebra.ad(sl2.h))
+    with pytest.raises(NotThreeGraded, match=r"leaves g\^0"):
+        grade_by(alg, sl2.h)

@@ -8,7 +8,7 @@ conjugation's linear part by exp(2 i theta).
 import numpy as np
 import pytest
 
-from grade3 import modular
+from grade3 import modular, numkit
 from grade3.errors import (
     DomainError,
     ModularRelationViolated,
@@ -181,3 +181,12 @@ def test_subspace_json_roundtrip(rng):
     np.testing.assert_allclose(back.basis, v.basis, atol=1e-15)
     with pytest.raises(ValueError):
         StandardSubspace.from_json({"basis": "nope"})
+
+
+def test_self_adjointness_gates_floor_small_scales():
+    # a matrix with entries far below 1 is held to the unit-scale gate
+    # abs_tol + rel_tol, the same gate loewner_leq applies
+    a = 1e-3 * np.eye(2) + np.array([[0.0, 1.5e-9], [0.0, 0.0]])
+    assert numkit.loewner_leq(a, 2e-3 * np.eye(2))
+    assert modular.qform_log(a, [1.0, 0.0]) == pytest.approx(np.log(1e-3))
+    assert modular.log_monotone_check(a, 2e-3 * np.eye(2), trials=5)["ok"]

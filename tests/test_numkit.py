@@ -131,3 +131,20 @@ def test_subspace_gap():
     w = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     assert numkit.subspace_gap(u, w) == pytest.approx(1.0)
     assert numkit.subspace_gap(u, u[:, :1]) == 1.0
+
+
+def test_null_space_floors_the_cutoff_at_unit_scale():
+    # below unit scale the cutoff stays RANK_RTOL, above it it grows with
+    # the largest singular value
+    small = numkit.null_space(np.diag([1e-3, 1e-11, 0.0]))
+    assert small.shape == (3, 2)
+    np.testing.assert_allclose(small.T @ small, np.eye(2), atol=1e-15)
+    assert numkit.null_space(np.diag([1e6, 1e-5, 1.0])).shape == (3, 1)
+    assert numkit.null_space(np.diag([1e6, 1e-3, 1.0])).shape == (3, 0)
+    np.testing.assert_array_equal(numkit.null_space(np.zeros((0, 3))), np.eye(3))
+
+
+def test_clusters_are_runs_within_gap_of_their_first_member():
+    vals = np.array([2.0, 1.0 + 5e-9, 1.0, 1.0 + 1.5e-8, 3.0])
+    runs = numkit.clusters(vals, 1e-8)
+    assert [r.tolist() for r in runs] == [[2, 1], [3], [0], [4]]

@@ -155,3 +155,27 @@ def test_diverging_leading_factor_leaves_open_cell(poincare3):
     for i in (28, 144):
         with pytest.raises(NotInOpenCell, match="overflows"):
             triangular_factor(draws[i], poincare3.grading)
+
+
+# (entry, draw index, orders) at sampler scale 10 where g or an intermediate
+# factor is numerically singular, so inverting it fails inside
+# triangular_factor.
+SINGULAR_DRAWS = [
+    ("poincare3", 28, ("-0+",)),
+    ("poincare3", 144, ("-0+",)),
+    ("poincare4", 53, ("+0-",)),
+    ("jacobi1", 130, ("+0-", "-0+")),
+    ("jacobi1", 176, ("+0-", "-0+")),
+    ("jacobi2", 78, ("+0-", "-0+")),
+]
+
+
+@pytest.mark.parametrize("name,index,orders", SINGULAR_DRAWS)
+def test_singular_factor_leaves_open_cell(name, index, orders):
+    entry = catalog.get_entry(name)
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        g = catalog.sample_semigroup_element(entry, rng, 10.0)
+    for order in orders:
+        with pytest.raises(NotInOpenCell):
+            triangular_factor(GroupElement(entry.algebra, g.matrix), entry.grading, order)
