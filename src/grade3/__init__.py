@@ -14,7 +14,7 @@ The public surface mirrors the module layout:
 """
 
 from .catalog import DEMO_NAMES, ENTRY_NAMES, CatalogEntry, get_entry
-from .cones import Cone, leq_C
+from .cones import Cone
 from .errors import Grade3Error
 from .liealg import (
     GroupElement,
@@ -39,7 +39,7 @@ from .modular import (
     standard_from_pair,
 )
 from .numkit import DEFAULT_TOL, Tolerance
-from .roots import RootDatum, c_max, classify_root, find_adapted_x0, root_decomposition
+from .roots import RootDatum, c_max, find_adapted_x0, root_decomposition
 from .semigroup import (
     PolarFactorization,
     TriangularFactorization,
@@ -74,13 +74,11 @@ __all__ = [
     "ad_image",
     "adjoint",
     "c_max",
-    "classify_root",
     "find_adapted_x0",
     "get_entry",
     "grade_by",
     "graph_projection",
     "is_standard",
-    "leq_C",
     "log_integral",
     "log_monotone_check",
     "member_P",

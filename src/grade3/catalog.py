@@ -141,10 +141,6 @@ def build_poincare(d: int = 3) -> CatalogEntry:
         m[:d, d] = v
         return GroupElement(alg, m)
 
-    def wedge_member(v, tol: Tolerance = DEFAULT_TOL) -> bool:
-        v = np.asarray(v, dtype=float)
-        return bool(v[1] - abs(v[0]) >= -tol.abs_tol)
-
     def member_direct(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> bool:
         ell = g.matrix[:d, :d]
         v = g.matrix[:d, d]
@@ -162,7 +158,6 @@ def build_poincare(d: int = 3) -> CatalogEntry:
         extras={
             "d": d,
             "translation": translation,
-            "wedge_member": wedge_member,
             "member_direct": member_direct,
         },
     )
@@ -328,7 +323,7 @@ def build_solvable(d=None) -> CatalogEntry:
         alg,
         h,
         cone,
-        extras={"derivation": d, "member_direct": member_direct},
+        extras={"member_direct": member_direct},
     )
 
 

@@ -208,6 +208,8 @@ def _cmd_monotone(args, tol, rng):
             raise UsageError("monotone file needs entries 'a' and 'b'")
         a = _as_matrix(doc["a"], "'a'")
         b = _as_matrix(doc["b"], "'b'")
+        if a.shape[0] != a.shape[1] or a.shape != b.shape:
+            raise UsageError("'a' and 'b' must be square matrices of one shape")
     else:
         raise UsageError("need --file PAIR.json or --random N")
     rep = modular.log_monotone_check(a, b, trials=args.samples, tol=tol,
@@ -268,19 +270,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="3-graded Lie algebras: gradings, cones, compression "
                     "semigroups, modular theory.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="tolerance (default: GRADE3_TOL env or 1e-9)")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--samples", type=int, default=200,
-                        help="sample count for randomized verbs (default 200)")
-    common.add_argument("--json", action="store_true",
-                        help="compact single-line JSON instead of pretty-printed")
+    # One parent parser per shared flag; each verb takes only the flags it reads.
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           help="compact single-line JSON instead of pretty-printed")
+    tol_flag = argparse.ArgumentParser(add_help=False)
+    tol_flag.add_argument("--tol", type=float, default=None,
+                          help="tolerance (default: GRADE3_TOL env or 1e-9)")
+    seed_flag = argparse.ArgumentParser(add_help=False)
+    seed_flag.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    samples_flag = argparse.ArgumentParser(add_help=False)
+    samples_flag.add_argument("--samples", type=int, default=200,
+                              help="sample count (default 200)")
 
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, help_, **kw):
-        return sub.add_parser(name, parents=[common], help=help_, **kw)
+    def add(name, help_, *flags):
+        return sub.add_parser(name, parents=[json_flag, *flags], help=help_)
 
     p = add("grade", "eigenspace dimensions of a 3-grading")
     p.add_argument("--demo", choices=catalog.ENTRY_NAMES)
@@ -289,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_ in (("member", "compression-semigroup membership"),
                         ("factor", "triangular factorization in the open cell"),
                         ("polar", "polar factorization g0 exp(x)")):
-        p = add(name, help_)
+        p = add(name, help_, tol_flag)
         p.add_argument("--demo", choices=catalog.ENTRY_NAMES)
         p.add_argument("--file", help="JSON document ('algebra', 'h', optional 'cone', 'g')")
         p.add_argument("--g", help="group element as a JSON matrix")
@@ -298,26 +304,27 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="factor order (write --order=-0+ for the "
                                 "mirrored cell)")
 
-    p = add("modular", "modular pair of a standard subspace")
+    p = add("modular", "modular pair of a standard subspace", tol_flag, seed_flag)
     p.add_argument("--file", help="JSON document with a subspace 'basis'")
     p.add_argument("--random", type=int, metavar="N",
                    help="use a seeded random standard subspace of C^N")
 
-    p = add("monotone", "operator-monotonicity certificate for log")
+    p = add("monotone", "operator-monotonicity certificate for log",
+            tol_flag, seed_flag, samples_flag)
     p.add_argument("--file", help="JSON document with matrices 'a' and 'b'")
     p.add_argument("--random", type=int, metavar="N",
                    help="use a seeded random pair A <= B of size N")
 
-    p = add("roots", "root decomposition for a compactly embedded Cartan")
+    p = add("roots", "root decomposition for a compactly embedded Cartan", tol_flag)
     p.add_argument("--demo", choices=catalog.ROOT_FIXTURE_NAMES)
     p.add_argument("--file", help="JSON document with 'algebra' and 'cartan'")
     p.add_argument("--x0", help="regular element (JSON list, Cartan coordinates) "
                                "to also report c_max generators")
 
-    p = add("demo", "bundled example with a worked factorization")
+    p = add("demo", "bundled example with a worked factorization", tol_flag, seed_flag)
     p.add_argument("name", choices=catalog.DEMO_NAMES)
 
-    p = add("verify", "run an invariant suite")
+    p = add("verify", "run an invariant suite", tol_flag, seed_flag, samples_flag)
     p.add_argument("suite", choices=verify.SUITE_NAMES)
     return parser
 
@@ -352,14 +359,18 @@ def _resolve_tol(args) -> Tolerance:
         raise UsageError(str(exc)) from exc
 
 
+def _seeded_rng(args) -> np.random.Generator:
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
+    return np.random.default_rng([int(args.seed), 0])
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = _resolve_tol(args)
-        if args.seed < 0:
-            raise UsageError("--seed must be non-negative")
-        rng = np.random.default_rng([int(args.seed), 0])
+        tol = _resolve_tol(args) if "tol" in args else None
+        rng = _seeded_rng(args) if "seed" in args else None
         code, payload = _HANDLERS[args.verb](args, tol, rng)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,6 +42,8 @@ __all__ = [
 
 # Condition-number ceiling for accepting a standard-subspace basis.
 MAX_BASIS_COND = 1e6
+# random_standard_subspace draws singular values in [1/_SPREAD, _SPREAD].
+_SPREAD = 3.0
 
 
 def _realify(b: np.ndarray) -> np.ndarray:
@@ -99,7 +101,7 @@ class ModularPair:
         }
 
 
-def is_standard(v: StandardSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_standard(v: StandardSubspace) -> bool:
     """V is standard: dim_R V = n, V cap iV = 0, V + iV = C^n, which for n
     basis vectors b means the 2n real columns of b and ib are independent."""
     b = v.basis
@@ -110,9 +112,9 @@ def is_standard(v: StandardSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     return not numkit.null_space(stack).shape[1]
 
 
-def _tomita_linear_part(v: StandardSubspace, tol: Tolerance) -> np.ndarray:
+def _tomita_linear_part(v: StandardSubspace) -> np.ndarray:
     """A with T(z) = A conj(z); T fixes the basis columns of V."""
-    if not is_standard(v, tol):
+    if not is_standard(v):
         raise NotStandard("subspace is not standard")
     b = v.basis
     sv = np.linalg.svd(b, compute_uv=False)
@@ -132,7 +134,7 @@ def modular_pair(v: StandardSubspace, tol: Tolerance = DEFAULT_TOL) -> ModularPa
     J Delta J = Delta^{-1} and J^2 = 1 are verified before returning, and the
     fixed space of J Delta^{1/2} is checked to reproduce V.
     """
-    a = _tomita_linear_part(v, tol)
+    a = _tomita_linear_part(v)
     w, sig, vh = np.linalg.svd(a)
     u_j = w @ vh
     delta = (vh.conj().T * sig**2) @ vh
@@ -191,25 +193,20 @@ def standard_from_pair(pair: ModularPair, tol: Tolerance = DEFAULT_TOL) -> Stand
     if basis.shape[1] != n:
         raise NotStandard("fixed space of J Delta^{1/2} is not standard")
     v = StandardSubspace(basis)
-    if not is_standard(v, tol):
+    if not is_standard(v):
         raise NotStandard("fixed space of J Delta^{1/2} is not standard")
     return v
 
 
-def random_standard_subspace(n: int, rng: np.random.Generator | None = None,
-                             spread: float = 3.0) -> StandardSubspace:
+def random_standard_subspace(n: int, rng: np.random.Generator) -> StandardSubspace:
     """Random standard subspace of C^n with a well-conditioned basis.
 
     Any complex-invertible basis matrix spans a standard subspace, so the
     sampler draws U diag(s) W^H with Haar unitary factors and log-uniform
-    singular values in [1/spread, spread].  The basis condition number is
-    then at most spread^2, which keeps the modular data computable to
+    singular values in [1/_SPREAD, _SPREAD].  The basis condition number is
+    then at most _SPREAD^2, which keeps the modular data computable to
     near machine precision.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if not spread >= 1.0:
-        raise ValueError("spread must be >= 1")
 
     def haar(k):
         z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
@@ -217,7 +214,7 @@ def random_standard_subspace(n: int, rng: np.random.Generator | None = None,
         d = np.diag(r)
         return q * (d / np.abs(d))
 
-    s = np.exp(rng.uniform(-np.log(spread), np.log(spread), size=n))
+    s = np.exp(rng.uniform(-np.log(_SPREAD), np.log(_SPREAD), size=n))
     return StandardSubspace((haar(n) * s) @ haar(n).conj().T)
 
 

@@ -24,11 +24,14 @@ from .numkit import DEFAULT_TOL, Tolerance
 __all__ = [
     "RootDatum",
     "root_decomposition",
-    "classify_root",
     "c_max",
     "find_adapted_x0",
     "star",
 ]
+
+
+# Random draws find_adapted_x0 makes before it reports failure.
+_ADAPTED_X0_DRAWS = 200
 
 
 def star(v) -> np.ndarray:
@@ -190,13 +193,6 @@ def _classify(algebra, t_mat, alpha, x, tol: Tolerance) -> str:
     return "noncompact"
 
 
-def classify_root(datum: RootDatum, alpha) -> str:
-    """Tag of a root given by index or coefficient tuple."""
-    if isinstance(alpha, (int, np.integer)):
-        return datum.types[int(alpha)]
-    return datum.types[datum.index_of(alpha)]
-
-
 def _dual_rays(rows: np.ndarray, k: int, tol: Tolerance) -> np.ndarray:
     """Generators of {x in R^k : rows @ x >= 0}.
 
@@ -256,20 +252,17 @@ def c_max(datum: RootDatum, x0, tol: Tolerance = DEFAULT_TOL) -> Cone:
     return Cone("polyhedral", datum.rank, generators=gens, label="c_max")
 
 
-def find_adapted_x0(datum: RootDatum, rng: np.random.Generator | None = None,
-                    attempts: int = 200, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def find_adapted_x0(datum: RootDatum, rng: np.random.Generator) -> np.ndarray:
     """Search for a regular Cartan element whose positive system is adapted.
 
-    Existence is not guaranteed for every algebra; after the given number
-    of random draws the search reports failure instead of guessing.
+    Existence is not guaranteed for every algebra; after _ADAPTED_X0_DRAWS
+    random draws the search reports failure instead of guessing.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(int(attempts)):
+    for _ in range(_ADAPTED_X0_DRAWS):
         x0 = rng.normal(size=datum.rank)
         try:
-            c_max(datum, x0, tol)
+            c_max(datum, x0)
         except (NotRegular, NotAdapted):
             continue
         return x0
-    raise NotAdapted(f"no adapted positive system found in {attempts} attempts")
+    raise NotAdapted(f"no adapted positive system found in {_ADAPTED_X0_DRAWS} draws")

@@ -178,7 +178,7 @@ def polar_factor(g: GroupElement, grading: Grading,
     algebra, a tau-symmetric part in x, or a bad unit factor.
     """
     alg = g.algebra
-    m = (sharp(g, tol) @ g).matrix
+    m = (sharp(g) @ g).matrix
     logm = numkit.logm_principal(m, tol)
     v, res = alg.try_coords(logm)
     if res > tol.gate(float(np.abs(logm).max(initial=0.0))):

@@ -351,3 +351,65 @@ def test_file_is_read_once(capsys, tmp_path, monkeypatch, verb):
     monkeypatch.setattr(cli, "_read_file", lambda p: reads.append(p) or original(p))
     code, _, _ = run_cli(capsys, verb, "--file", str(path))
     assert code == 0 and reads == [str(path)]
+
+
+def test_member_file_cone_without_size_is_usage_error(capsys, tmp_path):
+    entry = catalog.get_entry("sl2")
+    doc = {"algebra": entry.algebra.to_json(), "h": [float(v) for v in entry.h],
+           "cone": {"kind": "light_cone"}, "g": [[2.0, 1.0], [1.0, 1.0]]}
+    path = tmp_path / "sizeless_cone.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "member", "--file", str(path))
+    assert code == 2 and out == "" and "cone" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "b": [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]},
+    {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]},
+], ids=["not_square", "shapes_differ"])
+def test_monotone_file_bad_shapes_are_usage_errors(capsys, tmp_path, doc):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "monotone", "--file", str(path))
+    assert code == 2 and out == "" and "square" in err
+
+
+# Every verb takes --json; beyond it, the flags each verb reads.
+_VERB_ARGV = {
+    "grade": (["grade", "--demo", "sl2"], ()),
+    "member": (["member", "--demo", "sl2", "--g", "[[2,1],[1,1]]"], ("--tol",)),
+    "factor": (["factor", "--demo", "sl2", "--g", "[[2,1],[1,1]]"], ("--tol",)),
+    "polar": (["polar", "--demo", "sl2", "--g", "[[2,1],[1,1]]"], ("--tol",)),
+    "roots": (["roots", "--demo", "sl2"], ("--tol",)),
+    "modular": (["modular", "--random", "2"], ("--tol", "--seed")),
+    "demo": (["demo", "sl2"], ("--tol", "--seed")),
+    "monotone": (["monotone", "--random", "2"], ("--tol", "--seed", "--samples")),
+    "verify": (["verify", "grading"], ("--tol", "--seed", "--samples")),
+}
+_FLAG_VALUE = {"--tol": "1e-9", "--seed": "1", "--samples": "5"}
+
+
+@pytest.mark.parametrize("verb,flag", [
+    (verb, flag) for verb, (_, kept) in _VERB_ARGV.items()
+    for flag in _FLAG_VALUE if flag not in kept])
+def test_verb_rejects_flag_it_does_not_read(capsys, verb, flag):
+    argv, _ = _VERB_ARGV[verb]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, _FLAG_VALUE[flag]])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("verb", list(_VERB_ARGV))
+def test_verb_parses_every_flag_it_reads(capsys, verb):
+    argv, kept = _VERB_ARGV[verb]
+    extra = [a for flag in kept for a in (flag, _FLAG_VALUE[flag])]
+    code, out, _ = run_cli(capsys, *argv, *extra, "--json")
+    assert code == 0
+    assert out.count("\n") == 1 and json.loads(out)
+
+
+def test_grade_ignores_tolerance_environment(capsys, monkeypatch):
+    monkeypatch.setenv("GRADE3_TOL", "banana")
+    code, payload = run_json(capsys, "grade", "--demo", "sl2")
+    assert code == 0 and payload == {"dims": [1, 1, 1]}

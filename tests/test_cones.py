@@ -9,7 +9,6 @@ from grade3.cones import (
     gram_to_poly,
     graded_parts,
     invariance_check,
-    leq_C,
     nonneg_poly_dim,
     poly_eval,
     poly_gram,
@@ -34,15 +33,6 @@ def test_empty_polyhedral_is_origin():
     c = Cone("polyhedral", 2)
     assert c.contains([0.0, 0.0])
     assert c.violation([1.0, 1.0]) == pytest.approx(np.sqrt(2.0))
-
-
-def test_polyhedral_dual():
-    c = quadrant()
-    assert c.dual_contains([1.0, 1.0])
-    assert c.dual_contains([0.0, 5.0])
-    assert not c.dual_contains([-1.0, 1.0])
-    with pytest.raises(ValueError):
-        Cone("light_cone", 3, d=3).dual_contains([1.0, 0.0, 0.0])
 
 
 def test_sl2_lorentz_closed_form(sl2):
@@ -122,12 +112,6 @@ def test_origin_rejecting_cone_fails_fast():
         Cone("custom", 1, violation_fn=lambda x: 1.0)
 
 
-def test_leq_C():
-    c = quadrant()
-    assert leq_C([0.0, 0.0], [1.0, 1.0], c)
-    assert not leq_C([1.0, 1.0], [0.0, 0.0], c)
-
-
 def test_serialization_roundtrip():
     for c in (quadrant(), Cone("sl2_lorentz", 3), Cone("light_cone", 4, d=4),
               Cone("nonneg_poly", 6, n=2)):
@@ -138,6 +122,14 @@ def test_serialization_roundtrip():
         Cone.from_json({"kind": "custom"})
     with pytest.raises(ValueError):
         Cone("custom", 1, violation_fn=lambda x: 0.0).to_json()
+
+
+@pytest.mark.parametrize("doc", [{"kind": "light_cone"}, {"kind": "nonneg_poly"},
+                                 {"kind": "light_cone", "d": None},
+                                 {"kind": "nonneg_poly", "n": "two"}])
+def test_from_json_without_size_is_value_error(doc):
+    with pytest.raises(ValueError, match="bad cone object"):
+        Cone.from_json(doc)
 
 
 def test_graded_parts_sl2(sl2):

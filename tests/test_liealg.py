@@ -207,7 +207,7 @@ def test_tau_group_matches_algebra_tau(sl2, rng):
     alg, grading = sl2.algebra, sl2.grading
     for _ in range(10):
         x = 0.7 * rng.normal(size=3)
-        lhs = tau_group(GroupElement.exp(alg, x), grading).matrix
+        lhs = tau_group(GroupElement.exp(alg, x)).matrix
         rhs = GroupElement.exp(alg, grading.tau @ x).matrix
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 

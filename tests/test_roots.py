@@ -30,7 +30,6 @@ def test_sl2_has_two_imaginary_roots(sl2_datum):
 
 def test_sl2_roots_noncompact(sl2_datum):
     assert sl2_datum.types == ["noncompact_simple", "noncompact_simple"]
-    assert roots.classify_root(sl2_datum, 0) == "noncompact_simple"
 
 
 def test_su2_roots_compact():
