@@ -94,7 +94,7 @@ def build_sl2() -> CatalogEntry:
     e = np.array([[0.0, 1.0], [0.0, 0.0]])
     f = np.array([[0.0, 0.0], [1.0, 0.0]])
     alg = LieAlgebraSpec("sl2", [h, e, f], tau_matrix=np.diag([1.0, -1.0]))
-    cone = Cone("sl2_lorentz", 3, label="sl2 invariant cone")
+    cone = Cone("sl2_lorentz", 3)
     return _finish(
         "sl2",
         "sl(2,R) in the basis (h, e, f) with its Lorentz-type invariant cone",
@@ -130,8 +130,7 @@ def build_poincare(d: int = 3) -> CatalogEntry:
     h = np.zeros(alg.dim)
     h[d] = 1.0  # the boost K_1
     inject = np.eye(alg.dim)[:, :d]
-    cone = Cone("light_cone", alg.dim, d=d, inject=inject,
-                label="forward light cone")
+    cone = Cone("light_cone", alg.dim, d=d, inject=inject)
     k = np.zeros((d, d))
     k[0, 1] = k[1, 0] = 1.0
 
@@ -147,7 +146,7 @@ def build_poincare(d: int = 3) -> CatalogEntry:
         if np.abs(k @ ell - ell @ k).max() > tol.gate(np.abs(ell).max()):
             return False
         w = k @ v  # the shift h - Ad(g)h as a translation vector
-        return bool(np.linalg.norm(w[1:]) - w[0] <= tol.abs_tol)
+        return bool(np.linalg.norm(w[1:]) - w[0] <= tol.value)
 
     return _finish(
         f"poincare{d}",
@@ -254,8 +253,7 @@ def build_jacobi(n: int = 1) -> CatalogEntry:
             cols.append(_jacobi_rho(n, x=2.0 * omega @ q))
     for idx, mat in enumerate(cols):
         inject[:, idx] = alg.coords(mat)
-    cone = Cone("nonneg_poly", alg.dim, n=two_n, inject=inject,
-                label="nonnegative quadratic polynomials")
+    cone = Cone("nonneg_poly", alg.dim, n=two_n, inject=inject)
 
     return _finish(
         f"jacobi{n}",
@@ -309,8 +307,7 @@ def build_solvable(d=None) -> CatalogEntry:
 
     cols = [np.concatenate([v, [0.0]]) for v in eigvecs(+1).T]
     cols += [np.concatenate([-v, [0.0]]) for v in eigvecs(-1).T]
-    cone = Cone("polyhedral", alg.dim, generators=np.column_stack(cols),
-                label="eigenaxis cone")
+    cone = Cone("polyhedral", alg.dim, generators=np.column_stack(cols))
 
     def member_direct(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> bool:
         w = g.matrix[:m, m]

@@ -196,13 +196,11 @@ def _cmd_modular(args, tol, rng):
 
 
 def _cmd_monotone(args, tol, rng):
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     doc = _document(args)
     if args.random is not None:
-        n = _random_dim(args)
-        r = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        a = r.conj().T @ r + 0.1 * np.eye(n)
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        b = a + m.conj().T @ m
+        a, b = modular.random_ordered_pair(_random_dim(args), rng)
     elif doc is not None:
         if "a" not in doc or "b" not in doc:
             raise UsageError("monotone file needs entries 'a' and 'b'")
@@ -233,9 +231,7 @@ def _cmd_roots(args, tol, rng):
     out = {"datum": datum.to_json()}
     if args.x0 is not None:
         x0 = np.asarray(_load_json(args.x0, "--x0"), dtype=float)
-        cone = roots.c_max(datum, x0, tol)
-        out["c_max_generators"] = [[float(v) for v in col]
-                                   for col in cone.generators.T]
+        out["c_max_generators"] = roots.c_max(datum, x0, tol).to_json()["generators"]
     return 0, out
 
 
@@ -285,17 +281,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, help_, *flags):
-        return sub.add_parser(name, parents=[json_flag, *flags], help=help_)
+    def add(name, handler, help_, *flags):
+        p = sub.add_parser(name, parents=[json_flag, *flags], help=help_)
+        p.set_defaults(run=handler)
+        return p
 
-    p = add("grade", "eigenspace dimensions of a 3-grading")
+    p = add("grade", _cmd_grade, "eigenspace dimensions of a 3-grading")
     p.add_argument("--demo", choices=catalog.ENTRY_NAMES)
     p.add_argument("--file", help="JSON document with 'algebra' and 'h'")
 
-    for name, help_ in (("member", "compression-semigroup membership"),
-                        ("factor", "triangular factorization in the open cell"),
-                        ("polar", "polar factorization g0 exp(x)")):
-        p = add(name, help_, tol_flag)
+    for name, handler, help_ in (
+            ("member", _cmd_member, "compression-semigroup membership"),
+            ("factor", _cmd_factor, "triangular factorization in the open cell"),
+            ("polar", _cmd_polar, "polar factorization g0 exp(x)")):
+        p = add(name, handler, help_, tol_flag)
         p.add_argument("--demo", choices=catalog.ENTRY_NAMES)
         p.add_argument("--file", help="JSON document ('algebra', 'h', optional 'cone', 'g')")
         p.add_argument("--g", help="group element as a JSON matrix")
@@ -304,42 +303,33 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="factor order (write --order=-0+ for the "
                                 "mirrored cell)")
 
-    p = add("modular", "modular pair of a standard subspace", tol_flag, seed_flag)
+    p = add("modular", _cmd_modular, "modular pair of a standard subspace",
+            tol_flag, seed_flag)
     p.add_argument("--file", help="JSON document with a subspace 'basis'")
     p.add_argument("--random", type=int, metavar="N",
                    help="use a seeded random standard subspace of C^N")
 
-    p = add("monotone", "operator-monotonicity certificate for log",
+    p = add("monotone", _cmd_monotone, "operator-monotonicity certificate for log",
             tol_flag, seed_flag, samples_flag)
     p.add_argument("--file", help="JSON document with matrices 'a' and 'b'")
     p.add_argument("--random", type=int, metavar="N",
                    help="use a seeded random pair A <= B of size N")
 
-    p = add("roots", "root decomposition for a compactly embedded Cartan", tol_flag)
+    p = add("roots", _cmd_roots, "root decomposition for a compactly embedded Cartan",
+            tol_flag)
     p.add_argument("--demo", choices=catalog.ROOT_FIXTURE_NAMES)
     p.add_argument("--file", help="JSON document with 'algebra' and 'cartan'")
     p.add_argument("--x0", help="regular element (JSON list, Cartan coordinates) "
                                "to also report c_max generators")
 
-    p = add("demo", "bundled example with a worked factorization", tol_flag, seed_flag)
+    p = add("demo", _cmd_demo, "bundled example with a worked factorization",
+            tol_flag, seed_flag)
     p.add_argument("name", choices=catalog.DEMO_NAMES)
 
-    p = add("verify", "run an invariant suite", tol_flag, seed_flag, samples_flag)
+    p = add("verify", _cmd_verify, "run an invariant suite",
+            tol_flag, seed_flag, samples_flag)
     p.add_argument("suite", choices=verify.SUITE_NAMES)
     return parser
-
-
-_HANDLERS = {
-    "grade": _cmd_grade,
-    "member": _cmd_member,
-    "factor": _cmd_factor,
-    "polar": _cmd_polar,
-    "modular": _cmd_modular,
-    "monotone": _cmd_monotone,
-    "roots": _cmd_roots,
-    "demo": _cmd_demo,
-    "verify": _cmd_verify,
-}
 
 
 def _resolve_tol(args) -> Tolerance:
@@ -354,7 +344,7 @@ def _resolve_tol(args) -> Tolerance:
     if value is None:
         return Tolerance()
     try:
-        return Tolerance(abs_tol=value, rel_tol=value)
+        return Tolerance(value)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -371,7 +361,7 @@ def main(argv=None) -> int:
     try:
         tol = _resolve_tol(args) if "tol" in args else None
         rng = _seeded_rng(args) if "seed" in args else None
-        code, payload = _HANDLERS[args.verb](args, tol, rng)
+        code, payload = args.run(args, tol, rng)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

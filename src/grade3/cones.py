@@ -7,7 +7,7 @@ through a linear injection; membership then also requires the off-subspace
 component to vanish within tolerance.
 
 Membership is always one-sided: a point belongs to the cone when its
-violation (a nonnegative defect measure) is at most tol.abs_tol.
+violation (a nonnegative defect measure) is at most tol.value.
 """
 
 from __future__ import annotations
@@ -89,18 +89,16 @@ class Cone:
     """A closed convex cone with a quantitative membership defect.
 
     violation(x) is 0 exactly on the cone (up to floating point); contains()
-    compares it against tol.abs_tol.  sample() draws cone points through the
+    compares it against tol.value.  sample() draws cone points through the
     kind's closed-form sampler.
     """
 
     def __init__(self, kind: str, ambient_dim: int, *, generators=None, d=None,
-                 n=None, inject=None, violation_fn=None, sampler=None,
-                 label: str = ""):
+                 n=None, inject=None, violation_fn=None, sampler=None):
         if kind not in _KINDS:
             raise ValueError(f"unknown cone kind {kind!r}")
         self.kind = kind
         self.ambient_dim = int(ambient_dim)
-        self.label = label
         self.d = d
         self.n = n
         self._violation_fn = violation_fn
@@ -172,6 +170,9 @@ class Cone:
         if self.kind == "custom":
             return float(self._violation_fn(x))
         if self.kind == "polyhedral":
+            # scipy.optimize.nnls on a zero-column matrix aborts the whole
+            # interpreter (a double free, seen with scipy 1.17.1), so the
+            # cone {0} is measured directly.
             if self.generators.shape[1] == 0:
                 return float(np.linalg.norm(x))
             _, dist = scipy.optimize.nnls(self.generators, x)
@@ -185,14 +186,14 @@ class Cone:
         else:  # nonneg_poly
             m = poly_gram(v, self.n)
             body = max(0.0, -float(np.linalg.eigvalsh(m).min()))
-        return max(body, off)
+        return float(max(body, off))
 
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.violation(x) <= tol.abs_tol
+        return self.violation(x) <= tol.value
 
     # -- sampling --------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one cone element."""
         if self.kind == "custom":
             if self._sampler is None:
@@ -200,23 +201,21 @@ class Cone:
             return np.asarray(self._sampler(rng), dtype=float)
         if self.kind == "polyhedral":
             k = self.generators.shape[1]
-            if k == 0:
-                return np.zeros(self.ambient_dim)
-            return self.generators @ (scale * np.abs(rng.normal(size=k)))
+            return self.generators @ np.abs(rng.normal(size=k))
         if self.kind == "light_cone":
-            x0 = scale * abs(rng.normal())
+            x0 = abs(rng.normal())
             direction = rng.normal(size=self.d - 1)
             nrm = np.linalg.norm(direction)
             if nrm > 0:
                 direction = direction / nrm * (x0 * rng.uniform())
             v = np.concatenate([[x0], direction])
         elif self.kind == "sl2_lorentz":
-            b = scale * abs(rng.normal())
-            c = -scale * abs(rng.normal())
+            b = abs(rng.normal())
+            c = -abs(rng.normal())
             a = rng.uniform(-1.0, 1.0) * np.sqrt(b * -c)
             v = np.array([2.0 * a, b, c])
         else:  # nonneg_poly
-            g = rng.normal(size=(self.n + 1, self.n + 1)) * np.sqrt(scale)
+            g = rng.normal(size=(self.n + 1, self.n + 1))
             v = gram_to_poly(g.T @ g)
         if self._inject is not None:
             return self._inject @ v
@@ -274,8 +273,7 @@ class Cone:
         return cls(kind, dim, **native)
 
     def __repr__(self):
-        tag = self.label or self.kind
-        return f"Cone({tag}, ambient_dim={self.ambient_dim})"
+        return f"Cone({self.kind}, ambient_dim={self.ambient_dim})"
 
 
 def graded_parts(cone: Cone, grading) -> tuple[Cone, Cone]:
@@ -287,7 +285,7 @@ def graded_parts(cone: Cone, grading) -> tuple[Cone, Cone]:
     p_plus = grading.p_plus
     p_minus = grading.p_minus
 
-    def make(p, sign, name):
+    def make(p, sign):
         def violation(x):
             off = float(np.linalg.norm(x - p @ x))
             return max(off, cone.violation(sign * x))
@@ -296,10 +294,9 @@ def graded_parts(cone: Cone, grading) -> tuple[Cone, Cone]:
             return sign * (p @ cone.sample(rng))
 
         return Cone("custom", cone.ambient_dim, violation_fn=violation,
-                    sampler=sampler, label=name)
+                    sampler=sampler)
 
-    return (make(p_plus, +1.0, f"{cone.label or cone.kind}+"),
-            make(p_minus, -1.0, f"{cone.label or cone.kind}-"))
+    return make(p_plus, +1.0), make(p_minus, -1.0)
 
 
 def invariance_check(cone: Cone, algebra, samples: int,

@@ -33,6 +33,7 @@ __all__ = [
     "modular_pair",
     "standard_from_pair",
     "random_standard_subspace",
+    "random_ordered_pair",
     "graph_projection",
     "log_integral",
     "qform_log",
@@ -65,9 +66,7 @@ class StandardSubspace:
     @classmethod
     def from_json(cls, d: dict) -> "StandardSubspace":
         try:
-            vecs = [np.asarray(v["re"], dtype=float)
-                    + 1j * np.asarray(v.get("im", np.zeros(len(v["re"]))), dtype=float)
-                    for v in d["basis"]]
+            vecs = [numkit.vector_from_json(v) for v in d["basis"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad subspace object: {exc}") from exc
         return cls(np.column_stack(vecs))
@@ -75,11 +74,7 @@ class StandardSubspace:
     def to_json(self) -> dict:
         return {
             "n": int(self.n),
-            "basis": [
-                {"re": [float(x) for x in col.real],
-                 "im": [float(x) for x in col.imag]}
-                for col in self.basis.T
-            ],
+            "basis": [numkit.vector_to_json(col) for col in self.basis.T],
         }
 
     def __repr__(self):
@@ -182,17 +177,14 @@ def standard_from_pair(pair: ModularPair, tol: Tolerance = DEFAULT_TOL) -> Stand
     if numkit.hermitian_defect(d) > tol.gate(float(np.abs(d).max(initial=0.0))):
         raise ModularRelationViolated("delta is not self-adjoint")
     evals, evecs = np.linalg.eigh((d + d.conj().T) / 2)
-    if evals.min() <= tol.abs_tol:
+    if evals.min() <= tol.value:
         raise ModularRelationViolated("delta is not positive definite")
     defect = _modular_defect(pair)
     if defect > tol.gate(float(np.abs(d).max()) ** 2):
         raise ModularRelationViolated(f"modular relation defect {defect:.3e}")
     sqrt_d = (evecs * np.sqrt(evals)) @ evecs.conj().T
     a = u @ sqrt_d.conj()
-    basis = _fixed_space(a, n)
-    if basis.shape[1] != n:
-        raise NotStandard("fixed space of J Delta^{1/2} is not standard")
-    v = StandardSubspace(basis)
+    v = StandardSubspace(_fixed_space(a, n))
     if not is_standard(v):
         raise NotStandard("fixed space of J Delta^{1/2} is not standard")
     return v
@@ -218,6 +210,15 @@ def random_standard_subspace(n: int, rng: np.random.Generator) -> StandardSubspa
     return StandardSubspace((haar(n) * s) @ haar(n).conj().T)
 
 
+def random_ordered_pair(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Random complex n x n matrices 0 < A <= B: A = R*R + 0.1 I and
+    B = A + M*M with Gaussian R and M."""
+    r = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = r.conj().T @ r + 0.1 * np.eye(n)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a, a + m.conj().T @ m
+
+
 def subspace_gap_standard(v1: StandardSubspace, v2: StandardSubspace) -> float:
     """sin of the largest principal angle between the realified spans."""
     return numkit.subspace_gap(_realify(v1.basis), _realify(v2.basis))
@@ -227,7 +228,7 @@ def subspace_contained(v1: StandardSubspace, v2: StandardSubspace,
                        tol: Tolerance = DEFAULT_TOL) -> bool:
     """Real-linear containment span(v1) within span(v2) at tolerance."""
     excess = numkit.subspace_excess(_realify(v2.basis), _realify(v1.basis))
-    return bool(excess <= np.sqrt(tol.abs_tol))
+    return bool(excess <= np.sqrt(tol.value))
 
 
 def graph_projection(s, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -272,7 +273,7 @@ def qform_log(a, xi, tol: Tolerance = DEFAULT_TOL) -> float:
     if numkit.hermitian_defect(a) > tol.gate(float(np.abs(a).max(initial=0.0))):
         raise NotSelfAdjoint("qform_log needs a self-adjoint matrix")
     evals, evecs = np.linalg.eigh((a + a.conj().T) / 2)
-    if evals.min() <= tol.abs_tol:
+    if evals.min() <= tol.value:
         raise NotPositiveDefinite(f"spectrum reaches {evals.min():.3e}")
     weights = np.abs(evecs.conj().T @ xi) ** 2
     return float(np.sum(np.log(evals) * weights))
@@ -297,10 +298,10 @@ def log_monotone_check(a, b, trials: int = 100, tol: Tolerance = DEFAULT_TOL,
     if not numkit.loewner_leq(a, b, tol):
         raise PreconditionViolated("A <= B fails in the Loewner order")
     evals_a, evecs_a = np.linalg.eigh((a + a.conj().T) / 2)
-    if evals_a.min() <= tol.abs_tol:
+    if evals_a.min() <= tol.value:
         raise PreconditionViolated("A must have trivial kernel")
     evals_b, evecs_b = np.linalg.eigh((b + b.conj().T) / 2)
-    if evals_b.min() <= tol.abs_tol:
+    if evals_b.min() <= tol.value:
         raise PreconditionViolated("B must be positive definite")
     n = a.shape[0]
     xi = rng.normal(size=(n, int(trials))) + 1j * rng.normal(size=(n, int(trials)))
@@ -316,7 +317,7 @@ def log_monotone_check(a, b, trials: int = 100, tol: Tolerance = DEFAULT_TOL,
         diff = ra - rb  # -(x+A)^{-1} <= -(x+B)^{-1} iff this is psd
         diff = (diff + diff.conj().T) / 2
         resolvent_min = min(resolvent_min, float(np.linalg.eigvalsh(diff).min()))
-    ok = bool(min_margin >= -tol.abs_tol and resolvent_min >= -tol.abs_tol)
+    ok = bool(min_margin >= -tol.value and resolvent_min >= -tol.value)
     return {
         "trials": int(trials),
         "min_margin": float(min_margin),

@@ -3,9 +3,9 @@
 Thin, deterministic wrappers around numpy/scipy primitives plus the pieces
 they do not provide: principal-log branch-cut detection, the Loewner order,
 eigenvalue clustering, adaptive Gauss-Legendre quadrature, and the JSON
-matrix codec.  It owns the tolerance policy: residual gates go through
-Tolerance.gate, which floors the data scale at 1, while the rank cutoff
-RANK_RTOL and the eigenvalue gap CLUSTER_GAP are fixed.
+matrix and complex-vector codecs.  It owns the tolerance policy: residual
+gates go through Tolerance.gate, which floors the data scale at 1, while the
+rank cutoff RANK_RTOL and the eigenvalue gap CLUSTER_GAP are fixed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ __all__ = [
     "require_finite",
     "matrix_to_json",
     "matrix_from_json",
+    "vector_to_json",
+    "vector_from_json",
     "expm",
     "logm_principal",
     "solve_lstsq",
@@ -48,23 +50,23 @@ RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair used across the package.
+    """The one user tolerance used across the package.
 
-    abs_tol gates absolute residuals and one-sided cone slacks; rel_tol
+    value gates absolute residuals and one-sided cone slacks as it is, and
     scales with the problem data through gate(), which floors the data
     scale at 1 so that small data never tighten a gate below unit scale.
     """
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
+    value: float = 1e-9
 
     def __post_init__(self):
-        if not (self.abs_tol >= 0 and self.rel_tol >= 0):
-            raise ValueError("tolerances must be nonnegative")
+        # An infinite value would open every gate; NaN fails this test too.
+        if not 0.0 <= self.value < np.inf:
+            raise ValueError("tolerance must be finite and nonnegative")
 
     def gate(self, scale: float = 1.0) -> float:
         """Largest residual accepted for data of the given magnitude."""
-        return self.abs_tol + self.rel_tol * max(1.0, abs(scale))
+        return self.value + self.value * max(1.0, abs(scale))
 
 
 DEFAULT_TOL = Tolerance()
@@ -112,6 +114,19 @@ def matrix_from_json(d: dict) -> np.ndarray:
     return require_finite(m)
 
 
+def vector_to_json(z) -> dict:
+    """Serialize a complex vector to {"re", "im"} entry lists."""
+    z = np.asarray(z)
+    return {"re": [float(v) for v in z.real], "im": [float(v) for v in z.imag]}
+
+
+def vector_from_json(d: dict) -> np.ndarray:
+    """Inverse of vector_to_json; a missing "im" reads as zeros.  Raises
+    KeyError, TypeError or ValueError on malformed input."""
+    re = np.asarray(d["re"], dtype=float)
+    return re + 1j * np.asarray(d.get("im", np.zeros(len(d["re"]))), dtype=float)
+
+
 def expm(a) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring)."""
     return scipy.linalg.expm(require_finite(a))
@@ -127,14 +142,14 @@ def _cut_distance(z: complex) -> float:
 def logm_principal(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Principal matrix logarithm.
 
-    Raises BranchCutError when any eigenvalue lies within tol.abs_tol of the
+    Raises BranchCutError when any eigenvalue lies within tol.value of the
     closed negative real axis, where the principal branch is ill-defined.
     """
     a = require_finite(a)
     for z in eigvals_clustered(a):
-        if _cut_distance(complex(z)) <= tol.abs_tol:
+        if _cut_distance(complex(z)) <= tol.value:
             raise BranchCutError(
-                f"eigenvalue {z} within {tol.abs_tol} of the branch cut"
+                f"eigenvalue {z} within {tol.value} of the branch cut"
             )
     out = scipy.linalg.logm(a)
     if not np.iscomplexobj(a) and np.abs(out.imag).max(initial=0.0) < 1e3 * np.finfo(float).eps * max(1.0, np.abs(out.real).max(initial=0.0)):
@@ -163,7 +178,7 @@ def hermitian_defect(a) -> float:
 
 def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Decide a <= b in the Loewner order: b - a has smallest eigenvalue
-    >= -tol.abs_tol.  Raises NotSelfAdjoint if either argument is not
+    >= -tol.value.  Raises NotSelfAdjoint if either argument is not
     self-adjoint within tolerance."""
     a = require_finite(a)
     b = require_finite(b)
@@ -174,7 +189,7 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
             raise NotSelfAdjoint(f"{name} argument is not self-adjoint")
     diff = b - a
     diff = (diff + diff.conj().T) / 2
-    return bool(np.linalg.eigvalsh(diff).min() >= -tol.abs_tol)
+    return bool(np.linalg.eigvalsh(diff).min() >= -tol.value)
 
 
 def null_space(a, rtol: float = RANK_RTOL) -> np.ndarray:

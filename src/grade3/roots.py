@@ -74,14 +74,8 @@ class RootDatum:
     def to_json(self) -> dict:
         return {
             "cartan": [[float(v) for v in row] for row in self.cartan],
-            "roots": [
-                {"re": [float(v) for v in r.real], "im": [float(v) for v in r.imag]}
-                for r in self.roots
-            ],
-            "vectors": [
-                {"re": [float(v) for v in x.real], "im": [float(v) for v in x.imag]}
-                for x in self.vectors
-            ],
+            "roots": [numkit.vector_to_json(r) for r in self.roots],
+            "vectors": [numkit.vector_to_json(x) for x in self.vectors],
             "types": list(self.types),
         }
 
@@ -203,7 +197,7 @@ def _dual_rays(rows: np.ndarray, k: int, tol: Tolerance) -> np.ndarray:
         return np.hstack([np.eye(k), -np.eye(k)])
     lineality = numkit.null_space(rows)          # (k, k - rank)
     rank = k - lineality.shape[1]
-    slack = tol.abs_tol * max(1.0, float(np.abs(rows).max()))
+    slack = tol.value * max(1.0, float(np.abs(rows).max()))
 
     rays = []
     for subset in combinations(range(rows.shape[0]), rank - 1):
@@ -249,7 +243,7 @@ def c_max(datum: RootDatum, x0, tol: Tolerance = DEFAULT_TOL) -> Cone:
     rows = np.array([[-float(np.imag(v)) for v in datum.roots[i]]
                      for i in pos_noncompact]).reshape(len(pos_noncompact), datum.rank)
     gens = _dual_rays(rows, datum.rank, tol)
-    return Cone("polyhedral", datum.rank, generators=gens, label="c_max")
+    return Cone("polyhedral", datum.rank, generators=gens)
 
 
 def find_adapted_x0(datum: RootDatum, rng: np.random.Generator) -> np.ndarray:

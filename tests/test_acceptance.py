@@ -24,7 +24,7 @@ def _line(num: int, ok: bool, text: str):
 def test_criterion_01_sl2_closed_form():
     entry = catalog.get_entry("sl2")
     rng = np.random.default_rng(1)
-    tol = Tolerance(1e-9, 1e-9)
+    tol = Tolerance(1e-9)
     mats = []
     for _ in range(10_000):
         x = 0.7 * rng.normal(size=3)
@@ -37,8 +37,8 @@ def test_criterion_01_sl2_closed_form():
         g = GroupElement(entry.algebra, m)
         lib = member_ShC(g, entry.grading, entry.cone, tol)
         (a, b), (c, d) = m
-        closed = (a * b >= -tol.abs_tol and c * d >= -tol.abs_tol
-                  and b * c >= -tol.abs_tol)
+        closed = (a * b >= -tol.value and c * d >= -tol.value
+                  and b * c >= -tol.value)
         if lib != closed:
             bad += 1
     elapsed = time.perf_counter() - start
@@ -57,8 +57,8 @@ def test_criterion_02_decomposition_theorem():
         parts = graded_parts(entry.cone, entry.grading)
         cp, cm = parts
         for i in range(1000):
-            xp = cp.sample(rng, scale=0.4)
-            xm = cm.sample(rng, scale=0.4)
+            xp = cp.sample(rng)
+            xm = cm.sample(rng)
             g0 = catalog.sample_stabilizer(entry, rng, scale=0.4)
             ep = GroupElement.exp(entry.algebra, xp)
             em = GroupElement.exp(entry.algebra, xm)
@@ -143,7 +143,7 @@ def test_criterion_04_poincare_wedge():
     for d in (3, 4):
         entry = catalog.get_entry(f"poincare{d}")
         direct = entry.extras["member_direct"]
-        tol = Tolerance(1e-8, 1e-8)
+        tol = Tolerance(1e-8)
         for i in range(10_000):
             kind = ("member", "near", "generic")[i % 3]
             g = _poincare_sample(entry, rng, kind)

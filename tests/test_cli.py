@@ -211,6 +211,16 @@ def test_env_tolerance(capsys, monkeypatch):
     assert code == 2 and "GRADE3_TOL" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, monkeypatch, value):
+    argv = ["member", "--demo", "sl2", "--g", "[[0,1],[-1,0]]"]
+    code, out, err = run_cli(capsys, *argv, "--tol", value)
+    assert code == 2 and out == "" and "tolerance" in err
+    monkeypatch.setenv("GRADE3_TOL", value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "tolerance" in err
+
+
 def test_file_input(capsys, tmp_path):
     entry = catalog.get_entry("sl2")
     doc = {
@@ -270,6 +280,12 @@ def test_monotone_random_and_file(capsys, tmp_path):
     code, payload = run_json(capsys, "monotone", "--file", str(path))
     assert code == 1
     assert payload["error"] == "PreconditionViolated"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_monotone_needs_a_sample(capsys, samples):
+    code, out, err = run_cli(capsys, "monotone", "--random", "2", "--samples", samples)
+    assert code == 2 and out == "" and "--samples" in err
 
 
 def test_roots_demos(capsys):
@@ -413,3 +429,11 @@ def test_grade_ignores_tolerance_environment(capsys, monkeypatch):
     monkeypatch.setenv("GRADE3_TOL", "banana")
     code, payload = run_json(capsys, "grade", "--demo", "sl2")
     assert code == 0 and payload == {"dims": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("verb", list(_VERB_ARGV))
+def test_verb_help(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: grade3 {verb} ")

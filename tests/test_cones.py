@@ -35,6 +35,17 @@ def test_empty_polyhedral_is_origin():
     assert c.violation([1.0, 1.0]) == pytest.approx(np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("name", ["sl2", "poincare3", "jacobi1", "solvable"])
+def test_violation_is_float_and_contains_is_bool(name, rng):
+    entry = catalog.get_entry(name)
+    for cone in (entry.cone, entry.cone_plus, entry.cone_minus):
+        x = cone.sample(rng)
+        assert cone.contains(x) and not cone.contains(-x)
+        for point in (x, -x):
+            assert type(cone.violation(point)) is float
+            assert type(cone.contains(point)) is bool
+
+
 def test_sl2_lorentz_closed_form(sl2):
     c = sl2.cone
     # coords (h, e, f): matrix [[a, b], [c, -a]] with a = h-coeff / 2

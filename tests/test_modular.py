@@ -183,7 +183,7 @@ def test_subspace_json_roundtrip(rng):
 
 def test_self_adjointness_gates_floor_small_scales():
     # a matrix with entries far below 1 is held to the unit-scale gate
-    # abs_tol + rel_tol, the same gate loewner_leq applies
+    # 2 * tol.value, the same gate loewner_leq applies
     a = 1e-3 * np.eye(2) + np.array([[0.0, 1.5e-9], [0.0, 0.0]])
     assert numkit.loewner_leq(a, 2e-3 * np.eye(2))
     assert modular.qform_log(a, [1.0, 0.0]) == pytest.approx(np.log(1e-3))

@@ -7,7 +7,7 @@ from grade3.numkit import Tolerance
 
 
 def test_tolerance_gate():
-    tol = Tolerance(abs_tol=1e-9, rel_tol=1e-9)
+    tol = Tolerance(1e-9)
     assert tol.gate() == pytest.approx(2e-9)
     assert tol.gate(100.0) == pytest.approx(1e-9 + 1e-7)
     assert tol.gate(-100.0) == pytest.approx(1e-9 + 1e-7)
@@ -15,7 +15,24 @@ def test_tolerance_gate():
 
 def test_tolerance_rejects_negative():
     with pytest.raises(ValueError):
-        Tolerance(abs_tol=-1.0)
+        Tolerance(-1.0)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_tolerance_rejects_non_finite(value):
+    # an infinite tolerance would open every gate
+    with pytest.raises(ValueError):
+        Tolerance(value)
+
+
+def test_vector_json_roundtrip():
+    z = np.array([1.5 - 2.0j, 0.25j, -3.0])
+    d = numkit.vector_to_json(z)
+    assert d == {"re": [1.5, 0.0, -3.0], "im": [-2.0, 0.25, 0.0]}
+    np.testing.assert_array_equal(numkit.vector_from_json(d), z)
+    # a missing "im" reads as zeros
+    np.testing.assert_array_equal(numkit.vector_from_json({"re": [1.0, 2.0]}),
+                                  [1.0 + 0.0j, 2.0 + 0.0j])
 
 
 def test_require_finite():

@@ -36,6 +36,11 @@ def test_member_frozen_cases(sl2):
     assert not member_ShC(g, sl2.grading, sl2.cone)
 
 
+def test_member_is_python_bool(sl2):
+    for m in (G_IN, ROT):
+        assert type(member_ShC(g_of(sl2, m), sl2.grading, sl2.cone)) is bool
+
+
 def test_factor_plus_zero_minus(sl2):
     f = triangular_factor(g_of(sl2, G_IN), sl2.grading, "+0-")
     np.testing.assert_allclose(f.x_plus, [0.0, 1.0, 0.0], atol=1e-10)
