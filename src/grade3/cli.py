@@ -57,11 +57,34 @@ class UsageError(Exception):
     pass
 
 
-def _load_json(text: str, what: str):
+def _parse(what: str, read, *args):
+    """read(*args), with input that cannot be read reported as a usage error.
+
+    KeyError, TypeError and ValueError (which covers json.JSONDecodeError and
+    numpy's LinAlgError) all mean the value is malformed; the message is
+    what, then the reason.  Only reading goes through here: checks of sizes
+    against the algebra and every computation stay outside.
+    """
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON for {what}: {exc}") from exc
+        return read(*args)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{what}: {exc}") from exc
+
+
+def _array(obj, what: str, *ndims: int) -> np.ndarray:
+    """obj (JSON text, nested lists or a matrix object) as an array of
+    finite numbers with one of the allowed numbers of axes."""
+    if isinstance(obj, str):
+        obj = _parse(f"malformed JSON for {what}", json.loads, obj)
+    if isinstance(obj, dict):
+        a = _parse(f"bad matrix object for {what}", numkit.matrix_from_json, obj)
+    else:
+        a = _parse(f"bad value for {what}", lambda: numkit.require_finite(
+            np.asarray(obj, dtype=float), "value"))
+    if a.ndim not in ndims:
+        shapes = " or ".join(("vector", "matrix")[n - 1] for n in ndims)
+        raise UsageError(f"{what} must be a {shapes}")
+    return a
 
 
 def _read_file(path: str):
@@ -70,24 +93,7 @@ def _read_file(path: str):
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    return _load_json(text, path)
-
-
-def _as_matrix(obj, what: str) -> np.ndarray:
-    if isinstance(obj, str):
-        obj = _load_json(obj, what)
-    if isinstance(obj, dict):
-        try:
-            return numkit.matrix_from_json(obj)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise UsageError(f"bad matrix object for {what}: {exc}") from exc
-    try:
-        m = np.asarray(obj, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad matrix literal for {what}: {exc}") from exc
-    if m.ndim != 2:
-        raise UsageError(f"{what} must be a matrix (nested lists)")
-    return m
+    return _parse(f"malformed JSON for {path}", json.loads, text)
 
 
 def _document(args):
@@ -107,32 +113,23 @@ def _load_setting(args, doc):
         return entry.algebra, entry.grading, entry.cone
     if doc is None:
         raise UsageError("need --demo NAME or --file FILE")
-    try:
-        algebra = LieAlgebraSpec.from_json(doc["algebra"])
-        h = np.asarray(doc["h"], dtype=float)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"bad algebra document: {exc}") from exc
+    algebra = _parse("bad algebra document", lambda: LieAlgebraSpec.from_json(doc["algebra"]))
+    h = _array(_parse("bad algebra document", doc.__getitem__, "h"), "file entry 'h'", 1)
     grading = grade_by(algebra, h)
     cone = None
     if "cone" in doc:
-        try:
-            cone = Cone.from_json(doc["cone"], ambient_dim=algebra.dim)
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"bad cone document: {exc}") from exc
+        cone = _parse("bad cone document", Cone.from_json, doc["cone"], algebra.dim)
     return algebra, grading, cone
 
 
 def _need_g(args, algebra, doc) -> GroupElement:
     if getattr(args, "g", None) is not None:
-        m = _as_matrix(args.g, "--g")
+        m = _array(args.g, "--g", 2)
     elif doc is not None and "g" in doc:
-        m = _as_matrix(doc["g"], "file entry 'g'")
+        m = _array(doc["g"], "file entry 'g'", 2)
     else:
         raise UsageError("need a group element via --g or a 'g' file entry")
-    try:
-        return GroupElement(algebra, m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _parse("bad group element", GroupElement, algebra, m)
 
 
 def _random_dim(args) -> int:
@@ -180,10 +177,7 @@ def _cmd_modular(args, tol, rng):
     if args.random is not None:
         v = modular.random_standard_subspace(_random_dim(args), rng)
     elif doc is not None:
-        try:
-            v = modular.StandardSubspace.from_json(doc)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        v = _parse("bad subspace document", modular.StandardSubspace.from_json, doc)
     else:
         raise UsageError("need --file SUBSPACE.json or --random N")
     pair = modular.modular_pair(v, tol)
@@ -202,10 +196,8 @@ def _cmd_monotone(args, tol, rng):
     if args.random is not None:
         a, b = modular.random_ordered_pair(_random_dim(args), rng)
     elif doc is not None:
-        if "a" not in doc or "b" not in doc:
-            raise UsageError("monotone file needs entries 'a' and 'b'")
-        a = _as_matrix(doc["a"], "'a'")
-        b = _as_matrix(doc["b"], "'b'")
+        a, b = (_array(_parse("bad pair document", doc.__getitem__, k),
+                       f"file entry {k!r}", 2) for k in "ab")
         if a.shape[0] != a.shape[1] or a.shape != b.shape:
             raise UsageError("'a' and 'b' must be square matrices of one shape")
     else:
@@ -220,17 +212,18 @@ def _cmd_roots(args, tol, rng):
     if getattr(args, "demo", None):
         algebra, cartan, _ = catalog.root_fixture(args.demo)
     elif doc is not None:
-        try:
-            algebra = LieAlgebraSpec.from_json(doc["algebra"])
-            cartan = np.asarray(doc["cartan"], dtype=float)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise UsageError(f"bad roots document: {exc}") from exc
+        algebra = _parse("bad roots document", lambda: LieAlgebraSpec.from_json(doc["algebra"]))
+        # a flat list is one Cartan row
+        cartan = _array(_parse("bad roots document", doc.__getitem__, "cartan"),
+                        "file entry 'cartan'", 1, 2)
+        if np.iscomplexobj(cartan):  # a matrix object may carry "im"
+            raise UsageError("file entry 'cartan' must be real")
     else:
         raise UsageError("need --demo NAME or --file FILE")
     datum = roots.root_decomposition(algebra, cartan, tol)
     out = {"datum": datum.to_json()}
     if args.x0 is not None:
-        x0 = np.asarray(_load_json(args.x0, "--x0"), dtype=float)
+        x0 = _array(args.x0, "--x0", 1)
         out["c_max_generators"] = roots.c_max(datum, x0, tol).to_json()["generators"]
     return 0, out
 
@@ -333,20 +326,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tol(args) -> Tolerance:
-    value = args.tol
-    if value is None:
-        env = os.environ.get("GRADE3_TOL")
-        if env is not None:
-            try:
-                value = float(env)
-            except ValueError as exc:
-                raise UsageError(f"bad GRADE3_TOL value {env!r}") from exc
-    if value is None:
-        return Tolerance()
-    try:
-        return Tolerance(value)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    value, env = args.tol, os.environ.get("GRADE3_TOL")
+    if value is None and env is not None:
+        value = _parse("bad GRADE3_TOL value", float, env)
+    return Tolerance() if value is None else _parse("bad tolerance", Tolerance, value)
 
 
 def _seeded_rng(args) -> np.random.Generator:

@@ -120,11 +120,6 @@ class LieAlgebraSpec:
         cyc = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
         return float(np.abs(cyc).max())
 
-    def center(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the center {x : ad(x) = 0}."""
-        cols = self._ad_tensor.reshape(self.dim, -1).T  # vec(ad b_i) columns
-        return numkit.null_space(cols)
-
     def to_json(self) -> dict:
         out = {
             "name": self.name,

@@ -67,7 +67,7 @@ class RootDatum:
     def i_values(self, x0) -> np.ndarray:
         """Real numbers i alpha(x0) for every root, x0 in Cartan coords."""
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (self.rank,):
+        if x0.shape != (self.rank,) or not np.isfinite(x0).all():
             raise ValueError("x0 must be a coefficient vector over the Cartan basis")
         return np.array([-float(np.imag(r @ x0)) for r in self.roots])
 

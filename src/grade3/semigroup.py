@@ -178,7 +178,10 @@ def polar_factor(g: GroupElement, grading: Grading,
     algebra, a tau-symmetric part in x, or a bad unit factor.
     """
     alg = g.algebra
-    m = (sharp(g) @ g).matrix
+    try:
+        m = (sharp(g) @ g).matrix
+    except np.linalg.LinAlgError as exc:
+        raise NotPolar(f"g is numerically singular: {exc}") from exc
     logm = numkit.logm_principal(m, tol)
     v, res = alg.try_coords(logm)
     if res > tol.gate(float(np.abs(logm).max(initial=0.0))):

@@ -1,7 +1,16 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
 from grade3 import catalog
+
+# Child processes (`python -m grade3`) import the package the tests import,
+# wherever it came from: pyproject's `pythonpath` reaches this process only.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(pathlib.Path(catalog.__file__).parents[1]),
+                os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

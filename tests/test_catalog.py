@@ -98,11 +98,6 @@ def test_jacobi_chart_fixtures(jacobi1):
     assert not jacobi1.cone.contains(qp)
 
 
-def test_jacobi_center_is_trivial(jacobi1):
-    # Z is central in the Heisenberg part but graded by the extra direction
-    assert jacobi1.algebra.center().shape == (7, 0)
-
-
 def test_solvable_default(solvable):
     assert solvable.grading.dims == (1, 1, 1)
     assert solvable.cone.contains([1.0, 0.0, 0.0])

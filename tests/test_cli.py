@@ -390,6 +390,45 @@ def test_monotone_file_bad_shapes_are_usage_errors(capsys, tmp_path, doc):
     assert code == 2 and out == "" and "square" in err
 
 
+def _sl2_setting(**entries):
+    entry = catalog.get_entry("sl2")
+    return {"algebra": entry.algebra.to_json(), "h": [float(v) for v in entry.h],
+            **entries}
+
+
+# Each value is malformed, so reading it exits 2 before any kernel call.
+@pytest.mark.parametrize("argv,doc", [
+    (["roots", "--demo", "sl2", "--x0", "[NaN]"], None),
+    (["roots", "--demo", "sl2", "--x0", "[Infinity]"], None),
+    (["roots", "--demo", "sl2", "--x0", '"abc"'], None),
+    (["roots", "--demo", "sl2", "--x0", '{"a": 1}'], None),
+    (["roots", "--demo", "sl2", "--x0", "[[1.0]]"], None),
+    (["grade"], _sl2_setting(h=[float("nan"), 0.0, 0.0])),
+    (["grade"], _sl2_setting(h=[float("inf"), 0.0, 0.0])),
+    (["grade"], _sl2_setting(h=[[0.0, 1.0, -1.0]])),
+    (["monotone"], {"a": [[float("nan"), 0.0], [0.0, 1.0]], "b": np.eye(2).tolist()}),
+    (["roots"], {"algebra": catalog.root_fixture("sl2")[0].to_json(),
+                 "cartan": [[float("nan"), 1.0, -1.0]]}),
+], ids=["x0_nan", "x0_inf", "x0_string", "x0_object", "x0_matrix", "h_nan",
+        "h_inf", "h_matrix", "a_nan", "cartan_nan"])
+def test_malformed_values_are_usage_errors(capsys, tmp_path, argv, doc):
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--file", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("demo,g", [
+    ("sl2", "[[1,2],[2,4]]"),
+    ("poincare3", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,0]]"),
+], ids=["sl2", "poincare3"])
+def test_polar_singular_element_is_domain_error(capsys, demo, g):
+    code, payload = run_json(capsys, "polar", "--demo", demo, "--g", g)
+    assert code == 1 and payload["error"] == "NotPolar"
+
+
 # Every verb takes --json; beyond it, the flags each verb reads.
 _VERB_ARGV = {
     "grade": (["grade", "--demo", "sl2"], ()),

@@ -219,12 +219,6 @@ def test_tau_group_missing_raises():
         tau_group(GroupElement(line, np.eye(2)))
 
 
-def test_center_shapes(sl2):
-    assert sl2.algebra.center().shape == (3, 0)
-    ab = LieAlgebraSpec("r2", [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    assert ab.center().shape == (2, 2)
-
-
 def test_complex_representation_real_coords():
     su2 = catalog.build_su2()
     x = np.array([0.3, -0.2, 0.9])

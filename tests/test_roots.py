@@ -77,6 +77,12 @@ def test_cmax_requires_regular(sl2_datum):
         roots.c_max(sl2_datum, np.array([0.0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cmax_rejects_non_finite_x0(sl2_datum, value):
+    with pytest.raises(ValueError, match="coefficient vector"):
+        roots.c_max(sl2_datum, np.array([value]))
+
+
 def test_cmax_matches_cone_trace(sl2_datum, sl2):
     # the generator maps to a cone element of sl2; its negative does not
     gen = sl2_datum.cartan.T @ roots.c_max(sl2_datum, np.array([1.0])).generators[:, 0]

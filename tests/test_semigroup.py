@@ -11,7 +11,7 @@ import pytest
 
 from grade3 import catalog
 from grade3.cones import graded_parts
-from grade3.errors import BranchCutError, NotInOpenCell
+from grade3.errors import BranchCutError, NotInOpenCell, NotPolar
 from grade3.liealg import GroupElement, ad_image
 from grade3.semigroup import (
     member_P,
@@ -148,6 +148,16 @@ def test_polar_branch_cut(sl2):
     quarter = GroupElement.exp(sl2.algebra, (np.pi / 2) * np.array([0.0, 1.0, -1.0]))
     with pytest.raises(BranchCutError):
         polar_factor(quarter, sl2.grading)
+
+
+@pytest.mark.parametrize("name,m", [
+    ("sl2", [[1.0, 2.0], [2.0, 4.0]]),
+    ("poincare3", np.diag([1.0, 1.0, 1.0, 0.0])),
+], ids=["sl2", "poincare3"])
+def test_polar_singular_element_is_not_polar(name, m):
+    entry = catalog.get_entry(name)
+    with pytest.raises(NotPolar, match="numerically singular"):
+        polar_factor(g_of(entry, m), entry.grading)
 
 
 
