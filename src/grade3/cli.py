@@ -218,6 +218,8 @@ def _cmd_roots(args, tol, rng):
                         "file entry 'cartan'", 1, 2)
         if np.iscomplexobj(cartan):  # a matrix object may carry "im"
             raise UsageError("file entry 'cartan' must be real")
+        if not cartan.size or cartan.shape[-1] != algebra.dim:
+            raise UsageError(f"file entry 'cartan' needs rows of length {algebra.dim}")
     else:
         raise UsageError("need --demo NAME or --file FILE")
     datum = roots.root_decomposition(algebra, cartan, tol)

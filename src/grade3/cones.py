@@ -247,7 +247,9 @@ class Cone:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad cone object: {exc}") from exc
         if kind == "polyhedral":
-            gens = np.asarray(d.get("generators", []), dtype=float)
+            gens = np.atleast_2d(np.asarray(d.get("generators", []), dtype=float))
+            if gens.ndim > 2:  # a flat list reads as one generator
+                raise ValueError("bad cone object: generators have more than two axes")
             if gens.size == 0:
                 if ambient_dim is None:
                     raise ValueError("empty polyhedral cone needs ambient_dim")
@@ -329,5 +331,5 @@ def invariance_check(cone: Cone, algebra, samples: int,
         "samples": int(samples),
         "max_ad_violation": float(ad_worst),
         "max_tau_violation": float(tau_worst),
-        "ok": bool(ad_worst <= tol.gate() and tau_worst <= tol.gate()),
+        "ok": tol.accepts(ad_worst) and tol.accepts(tau_worst),
     }

@@ -69,11 +69,8 @@ class LieAlgebraSpec:
         comm = np.einsum("iab,jbc->ijac", self.basis, self.basis)
         comm = comm - np.transpose(comm, (1, 0, 2, 3))
         self.structure_constants, res = self.try_coords(comm)
-        worst = float(res.max())
-        if worst > DEFAULT_TOL.gate(self._basis_scale**2):
-            raise ValueError(
-                f"bracket does not close over the basis (residual {worst:.3e})"
-            )
+        DEFAULT_TOL.check(float(res.max()), self._basis_scale**2, ValueError,
+                          "bracket does not close over the basis")
         self._ad_tensor = np.ascontiguousarray(
             np.transpose(self.structure_constants, (0, 2, 1))
         )  # _ad_tensor[i, k, j] so ad(x) = einsum('i,ikj->kj')
@@ -100,8 +97,8 @@ class LieAlgebraSpec:
     def coords(self, m) -> np.ndarray:
         """Coefficient vector of m; raises ValueError if m leaves the span."""
         v, res = self.try_coords(m)
-        if res > DEFAULT_TOL.gate(float(np.abs(m).max(initial=0.0))):
-            raise ValueError(f"matrix outside basis span (residual {res:.3e})")
+        DEFAULT_TOL.check(float(res), float(np.abs(m).max(initial=0.0)), ValueError,
+                          "matrix outside basis span")
         return v
 
     def bracket(self, x, y) -> np.ndarray:
@@ -219,11 +216,8 @@ def grade_by(algebra: LieAlgebraSpec, h) -> Grading:
                           optimize=True)
             if -1 <= di + dj <= 1:
                 w = w - w @ g.projector(di + dj).T
-            worst = float(np.abs(w).max(initial=0.0))
-            if worst > DEFAULT_TOL.gate(scale):
-                raise NotThreeGraded(
-                    f"[g^{di}, g^{dj}] leaves g^{di + dj} (residual {worst:.3e})"
-                )
+            DEFAULT_TOL.check(float(np.abs(w).max(initial=0.0)), scale, NotThreeGraded,
+                              f"[g^{di}, g^{dj}] leaves g^{di + dj}")
     return g
 
 
@@ -270,13 +264,12 @@ def _conjugate_coords(g: GroupElement, xm, x_scale: float, tol: Tolerance,
     ||g|| x_scale ||g^{-1}||, the size roundoff actually reaches when the
     conjugation cancels."""
     v, res = g.algebra.try_coords(g.matrix @ xm @ g.inv_matrix)
-    worst = float(max(res.flat))
+    worst = res.max() if res.ndim else float(res)
     # The gate floors its scale at 1, so a residual within the gate at
-    # scale 1 passes at any scale without the norms.
-    if worst > tol.gate():
+    # scale 1 passes at any scale without the norms; NaN falls through.
+    if not worst <= tol.gate():
         scale = float(np.linalg.norm(g.matrix) * x_scale * np.linalg.norm(g.inv_matrix))
-        if worst > tol.gate(scale):
-            raise AdjointOutOfSpan(f"{what} residual {worst:.3e}")
+        tol.check(worst, scale, AdjointOutOfSpan, what)
     return v
 
 

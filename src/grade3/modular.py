@@ -135,14 +135,12 @@ def modular_pair(v: StandardSubspace, tol: Tolerance = DEFAULT_TOL) -> ModularPa
     delta = (vh.conj().T * sig**2) @ vh
     delta = delta.conj()
     pair = ModularPair(delta=delta, j_unitary=u_j)
-    defect = _modular_defect(pair)
     size = float(np.abs(delta).max())
-    if defect > tol.gate(size**2):
-        raise ModularRelationViolated(f"modular relation defect {defect:.3e}")
+    tol.check(_modular_defect(pair), size**2, ModularRelationViolated,
+              "modular relation defect")
     recovered = _fixed_space(a, v.n)
-    gap = subspace_gap_standard(v, StandardSubspace(recovered))
-    if gap > tol.gate(size):
-        raise ModularRelationViolated(f"Fix(J Delta^{{1/2}}) misses V (gap {gap:.3e})")
+    tol.check(subspace_gap_standard(v, StandardSubspace(recovered)), size,
+              ModularRelationViolated, "Fix(J Delta^{1/2}) misses V")
     return pair
 
 
@@ -174,14 +172,14 @@ def standard_from_pair(pair: ModularPair, tol: Tolerance = DEFAULT_TOL) -> Stand
     numkit.require_finite(u, "j_unitary")
     numkit.require_finite(d, "delta")
     n = u.shape[0]
-    if numkit.hermitian_defect(d) > tol.gate(float(np.abs(d).max(initial=0.0))):
-        raise ModularRelationViolated("delta is not self-adjoint")
+    size = float(np.abs(d).max(initial=0.0))
+    tol.check(numkit.hermitian_defect(d), size, ModularRelationViolated,
+              "delta is not self-adjoint")
     evals, evecs = np.linalg.eigh((d + d.conj().T) / 2)
     if evals.min() <= tol.value:
         raise ModularRelationViolated("delta is not positive definite")
-    defect = _modular_defect(pair)
-    if defect > tol.gate(float(np.abs(d).max()) ** 2):
-        raise ModularRelationViolated(f"modular relation defect {defect:.3e}")
+    tol.check(_modular_defect(pair), size**2, ModularRelationViolated,
+              "modular relation defect")
     sqrt_d = (evecs * np.sqrt(evals)) @ evecs.conj().T
     a = u @ sqrt_d.conj()
     v = StandardSubspace(_fixed_space(a, n))
@@ -244,10 +242,10 @@ def graph_projection(s, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     q = np.linalg.qr(g)[0]
     p = q @ q.conj().T
     gram_inv = np.linalg.inv(np.eye(n) + s.conj().T @ s)
-    scale = float(np.abs(s).max(initial=0.0)) ** 2
-    if np.abs(p[:n, :n] - gram_inv).max() > tol.gate(scale) or \
-       np.abs(p[:n, n:] - gram_inv @ s.conj().T).max() > tol.gate(scale):
-        raise ArithmeticError("graph projection disagrees with its closed form")
+    # [p11, p12] against (1 + S*S)^{-1} [1, S*]
+    closed = gram_inv @ np.hstack([np.eye(n), s.conj().T])
+    tol.check(np.abs(p[:n] - closed).max(), float(np.abs(s).max(initial=0.0)) ** 2,
+              ArithmeticError, "graph projection disagrees with its closed form")
     return p
 
 
@@ -270,8 +268,8 @@ def qform_log(a, xi, tol: Tolerance = DEFAULT_TOL) -> float:
     """<xi, log(A) xi> through the spectral decomposition of A."""
     a = numkit.require_finite(a, "matrix")
     xi = np.asarray(xi, dtype=complex)
-    if numkit.hermitian_defect(a) > tol.gate(float(np.abs(a).max(initial=0.0))):
-        raise NotSelfAdjoint("qform_log needs a self-adjoint matrix")
+    tol.check(numkit.hermitian_defect(a), float(np.abs(a).max(initial=0.0)),
+              NotSelfAdjoint, "qform_log needs a self-adjoint matrix")
     evals, evecs = np.linalg.eigh((a + a.conj().T) / 2)
     if evals.min() <= tol.value:
         raise NotPositiveDefinite(f"spectrum reaches {evals.min():.3e}")
@@ -293,8 +291,8 @@ def log_monotone_check(a, b, trials: int = 100, tol: Tolerance = DEFAULT_TOL,
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     for name, mat in (("A", a), ("B", b)):
-        if numkit.hermitian_defect(mat) > tol.gate(float(np.abs(mat).max(initial=0.0))):
-            raise PreconditionViolated(f"{name} is not self-adjoint")
+        tol.check(numkit.hermitian_defect(mat), float(np.abs(mat).max(initial=0.0)),
+                  PreconditionViolated, f"{name} is not self-adjoint")
     if not numkit.loewner_leq(a, b, tol):
         raise PreconditionViolated("A <= B fails in the Loewner order")
     evals_a, evecs_a = np.linalg.eigh((a + a.conj().T) / 2)

@@ -3,13 +3,16 @@
 Thin, deterministic wrappers around numpy/scipy primitives plus the pieces
 they do not provide: principal-log branch-cut detection, the Loewner order,
 eigenvalue clustering, adaptive Gauss-Legendre quadrature, and the JSON
-matrix and complex-vector codecs.  It owns the tolerance policy: residual
-gates go through Tolerance.gate, which floors the data scale at 1, while the
-rank cutoff RANK_RTOL and the eigenvalue gap CLUSTER_GAP are fixed.
+matrix and complex-vector codecs.  It owns the tolerance policy: every
+residual gate is decided by Tolerance.check (raise) or Tolerance.accepts
+(bool) against Tolerance.gate, which floors the data scale at 1; an infinite
+or NaN residual never passes.  The rank cutoff RANK_RTOL and the eigenvalue
+gap CLUSTER_GAP are fixed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +70,16 @@ class Tolerance:
     def gate(self, scale: float = 1.0) -> float:
         """Largest residual accepted for data of the given magnitude."""
         return self.value + self.value * max(1.0, abs(scale))
+
+    def accepts(self, residual: float, scale: float = 1.0) -> bool:
+        """residual <= gate(scale); an infinite or NaN residual never passes."""
+        return bool(abs(residual) < math.inf and residual <= self.gate(scale))
+
+    def check(self, residual: float, scale: float, error: type, what: str) -> None:
+        """Raise error("<what>: residual R above gate G at scale S") unless accepts."""
+        if not self.accepts(residual, scale):
+            raise error(f"{what}: residual {residual:.3e} above gate "
+                        f"{self.gate(scale):.3e} at scale {scale:.3e}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -185,8 +198,8 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     if a.shape != b.shape:
         raise ValueError("shape mismatch in Loewner comparison")
     for name, m in (("first", a), ("second", b)):
-        if hermitian_defect(m) > tol.gate(float(np.abs(m).max(initial=0.0))):
-            raise NotSelfAdjoint(f"{name} argument is not self-adjoint")
+        tol.check(hermitian_defect(m), float(np.abs(m).max(initial=0.0)),
+                  NotSelfAdjoint, f"{name} argument is not self-adjoint")
     diff = b - a
     diff = (diff + diff.conj().T) / 2
     return bool(np.linalg.eigvalsh(diff).min() >= -tol.value)

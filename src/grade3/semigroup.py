@@ -83,7 +83,7 @@ def member_P(g: GroupElement, grading: Grading, sign: int,
         raise ValueError("sign must be +1 or -1")
     r = ad_image(g, grading.h, tol) - grading.h
     off = r - grading.part(r, sign)
-    return bool(np.linalg.norm(off) <= tol.gate(float(np.linalg.norm(r))))
+    return tol.accepts(np.linalg.norm(off), np.linalg.norm(r))
 
 
 def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
@@ -114,8 +114,8 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     sol, _ = numkit.solve_lstsq(mat, rhs)
     x_lead = basis @ sol
     scale = float(np.linalg.norm(w))
-    if np.linalg.norm(op @ x_lead + 2.0 * s * w_lead) > tol.gate(scale):
-        raise NotInOpenCell("leading-factor linear system is inconsistent")
+    tol.check(np.linalg.norm(op @ x_lead + 2.0 * s * w_lead), scale,
+              NotInOpenCell, "leading-factor linear system is inconsistent")
 
     # A diverging leading factor overflows exp before any check sees it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -126,19 +126,18 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     try:
         g1 = GroupElement(alg, lead_inv) @ g
         r = ad_image(g1, h, tol) - h
-        off = r - grading.part(r, -s)
-        if np.linalg.norm(off) > tol.gate(scale):
-            raise NotInOpenCell("residual conjugation does not reach h + g^{-lead}")
+        tol.check(np.linalg.norm(r - grading.part(r, -s)), scale,
+                  NotInOpenCell, "residual conjugation does not reach h + g^{-lead}")
 
         # Trailing factor from Ad(g1^{-1})h = h -+ x_trail.
         r_inv = ad_image(g1.inverse(), h, tol) - h
         x_trail = grading.part(s * -1.0 * r_inv, -s)
-        if np.linalg.norm(r_inv - grading.part(r_inv, -s)) > tol.gate(scale):
-            raise NotInOpenCell("trailing factor is not purely graded")
+        tol.check(np.linalg.norm(r_inv - grading.part(r_inv, -s)), scale,
+                  NotInOpenCell, "trailing factor is not purely graded")
 
         g0 = g1 @ GroupElement.exp(alg, -x_trail)
-        if np.linalg.norm(ad_image(g0, h, tol) - h) > tol.gate(scale):
-            raise NotInOpenCell("middle factor does not fix h")
+        tol.check(np.linalg.norm(ad_image(g0, h, tol) - h), scale,
+                  NotInOpenCell, "middle factor does not fix h")
     except (AdjointOutOfSpan, np.linalg.LinAlgError) as exc:
         # A diverging unipotent factor can push the intermediate conjugations
         # past what the representation can verify or invert; that is a
@@ -147,8 +146,7 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
 
     recon = (GroupElement.exp(alg, x_lead) @ g0 @ GroupElement.exp(alg, x_trail)).matrix
     residual = float(np.linalg.norm(recon - g.matrix))
-    if residual > tol.gate(float(np.linalg.norm(g.matrix))):
-        raise NotInOpenCell(f"reconstruction residual {residual:.3e}")
+    tol.check(residual, float(np.linalg.norm(g.matrix)), NotInOpenCell, "reconstruction")
 
     if s == +1:
         return TriangularFactorization(x_lead, g0, x_trail, residual, order)
@@ -184,18 +182,16 @@ def polar_factor(g: GroupElement, grading: Grading,
         raise NotPolar(f"g is numerically singular: {exc}") from exc
     logm = numkit.logm_principal(m, tol)
     v, res = alg.try_coords(logm)
-    if res > tol.gate(float(np.abs(logm).max(initial=0.0))):
-        raise NotPolar("log of sharp(g) g leaves the algebra")
+    tol.check(float(res), float(np.abs(logm).max(initial=0.0)), NotPolar,
+              "log of sharp(g) g leaves the algebra")
     x = v / 2.0
-    sym = grading.tau @ x + x
-    if np.linalg.norm(sym) > tol.gate(float(np.linalg.norm(x))):
-        raise NotPolar("odd part of the factorization is not tau-antifixed")
+    tol.check(np.linalg.norm(grading.tau @ x + x), float(np.linalg.norm(x)),
+              NotPolar, "odd part of the factorization is not tau-antifixed")
     g0 = g @ GroupElement.exp(alg, -x)
-    if np.linalg.norm(ad_image(g0, grading.h, tol) - grading.h) > tol.gate():
-        raise NotPolar("unit factor does not fix h")
+    tol.check(np.linalg.norm(ad_image(g0, grading.h, tol) - grading.h), 1.0,
+              NotPolar, "unit factor does not fix h")
     recon = (g0 @ GroupElement.exp(alg, x)).matrix
     residual = float(np.linalg.norm(recon - g.matrix))
-    if residual > tol.gate(float(np.linalg.norm(g.matrix))):
-        raise NotPolar(f"reconstruction residual {residual:.3e}")
+    tol.check(residual, float(np.linalg.norm(g.matrix)), NotPolar, "reconstruction")
     return PolarFactorization(g0, x, residual)
 

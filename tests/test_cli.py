@@ -476,3 +476,63 @@ def test_verb_help(capsys, verb):
         main([verb, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: grade3 {verb} ")
+
+
+def _roots_doc(cartan):
+    return {"algebra": catalog.root_fixture("sl2")[0].to_json(), "cartan": cartan}
+
+
+@pytest.mark.parametrize("cartan", [
+    [[1.0, 0.0]], [0.0, 1.0, -1.0, 0.0], [], [[]],
+    {"rows": 0, "cols": 3, "re": []},
+], ids=["narrow_row", "wide_flat_row", "empty", "empty_row", "no_rows"])
+def test_roots_file_bad_cartan_rows_are_usage_errors(capsys, tmp_path, cartan):
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps(_roots_doc(cartan)))
+    code, out, err = run_cli(capsys, "roots", "--file", str(path))
+    assert code == 2 and out == "" and "file entry 'cartan'" in err
+
+
+def test_roots_file_dependent_cartan_rows_are_not_cartan(capsys, tmp_path):
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps(_roots_doc([[0.0, 1.0, -1.0], [0.0, 2.0, -2.0]])))
+    code, payload = run_json(capsys, "roots", "--file", str(path))
+    assert code == 1 and payload["error"] == "NotCartan"
+
+
+def test_member_file_flat_polyhedral_generators(capsys, tmp_path):
+    outs = []
+    for gens in ([1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]):
+        path = tmp_path / "member.json"
+        path.write_text(json.dumps(_sl2_setting(
+            cone={"kind": "polyhedral", "generators": gens}, g=[[2.0, 1.0], [1.0, 1.0]])))
+        outs.append(run_cli(capsys, "member", "--file", str(path)))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    path.write_text(json.dumps(_sl2_setting(
+        cone={"kind": "polyhedral", "generators": [[[1.0, 0.0, 0.0]]]})))
+    code, out, err = run_cli(capsys, "member", "--file", str(path))
+    assert code == 2 and out == "" and "bad cone object" in err
+
+
+def _diag(*entries):
+    return json.dumps(np.diag(entries).tolist())
+
+
+# diag(s, 1, 1, 1) is not in the Poincare group; past s = 1e154 the norms of
+# the conjugation overflow, which must not open the residual gate.
+@pytest.mark.parametrize("verb", ["member", "factor", "polar"])
+@pytest.mark.parametrize("s", [1e160, 1e200])
+def test_overflowed_residual_is_adjoint_out_of_span(capsys, verb, s):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, payload = run_json(capsys, verb, "--demo", "poincare3",
+                                 "--g", _diag(s, 1.0, 1.0, 1.0))
+    assert code == 1 and payload["error"] == "AdjointOutOfSpan"
+
+
+# A valid element whose scale overflows still passes its (zero) residuals.
+@pytest.mark.parametrize("verb", ["member", "factor", "polar"])
+def test_extreme_valid_element_still_answers(capsys, verb):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, payload = run_json(capsys, verb, "--demo", "sl2",
+                                 "--g", _diag(1e160, 1e-160))
+    assert code == 0 and "error" not in payload

@@ -190,3 +190,15 @@ def test_embedded_cone_without_injection_is_rejected():
     del doc["inject"]
     with pytest.raises(ValueError, match="inject"):
         Cone.from_json(doc)
+
+
+def test_from_json_flat_generators_is_one_generator():
+    flat = Cone.from_json({"kind": "polyhedral", "generators": [1.0, 0.0, 0.0]})
+    nested = Cone.from_json({"kind": "polyhedral", "generators": [[1.0, 0.0, 0.0]]})
+    assert flat.ambient_dim == nested.ambient_dim == 3
+    np.testing.assert_array_equal(flat.generators, nested.generators)
+
+
+def test_from_json_generators_with_three_axes_is_value_error():
+    with pytest.raises(ValueError, match="bad cone object"):
+        Cone.from_json({"kind": "polyhedral", "generators": [[[1.0, 0.0, 0.0]]]})

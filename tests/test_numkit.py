@@ -165,3 +165,37 @@ def test_clusters_are_runs_within_gap_of_their_first_member():
     vals = np.array([2.0, 1.0 + 5e-9, 1.0, 1.0 + 1.5e-8, 3.0])
     runs = numkit.clusters(vals, 1e-8)
     assert [r.tolist() for r in runs] == [[2, 1], [3], [0], [4]]
+
+
+@pytest.mark.parametrize("residual", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scale", [1.0, 1e300, np.inf])
+def test_tolerance_never_accepts_non_finite_residual(residual, scale):
+    tol = Tolerance(1e-9)
+    assert tol.accepts(residual, scale) is False
+    with pytest.raises(ArithmeticError, match="what failed: residual"):
+        tol.check(residual, scale, ArithmeticError, "what failed")
+
+
+def test_tolerance_accepts_finite_residual_at_infinite_scale():
+    # an overflowed scale opens the gate to every finite residual
+    tol = Tolerance(1e-9)
+    assert tol.gate(np.inf) == np.inf
+    assert tol.accepts(1e300, np.inf) is True
+    tol.check(1e300, np.inf, ArithmeticError, "unused")
+
+
+def test_tolerance_gate_boundary_is_inclusive():
+    tol = Tolerance(1e-9)
+    for scale in (1.0, 0.5, 100.0):
+        gate = tol.gate(scale)
+        assert tol.accepts(gate, scale) is True
+        tol.check(gate, scale, ArithmeticError, "unused")
+        assert tol.accepts(np.nextafter(gate, np.inf), scale) is False
+    assert tol.accepts(np.float64(1e-9)) is True   # a bool, not numpy's
+
+
+def test_tolerance_check_message_names_residual_gate_and_scale():
+    with pytest.raises(NotSelfAdjoint) as exc:
+        Tolerance(1e-9).check(2.0, 100.0, NotSelfAdjoint, "some gate")
+    assert str(exc.value) == (
+        "some gate: residual 2.000e+00 above gate 1.010e-07 at scale 1.000e+02")

@@ -135,3 +135,40 @@ def test_datum_json(sl2_datum):
     d = sl2_datum.to_json()
     assert set(d) >= {"cartan", "roots", "types", "vectors"}
     assert len(d["roots"]) == 2
+
+
+def _hand_datum(roots_, types, rank):
+    """A RootDatum with the given roots and tags over a rank-`rank` Cartan;
+    c_max reads only the roots, the tags and the rank."""
+    algebra = catalog.get_entry("sl2").algebra
+    return roots.RootDatum(algebra, np.eye(rank), [np.array(r) for r in roots_],
+                           [None] * len(roots_), list(types))
+
+
+def test_cmax_rejects_compact_values_above_noncompact():
+    # i alpha(x0) is 1 for the positive noncompact root, 2 for a compact one
+    datum = _hand_datum([[1j], [-1j], [2j], [-2j]], ["noncompact"] * 2 + ["compact"] * 2, 1)
+    with pytest.raises(NotAdapted, match="not adapted"):
+        roots.c_max(datum, [1.0])
+
+
+def test_cmax_adapted_with_compact_roots_is_the_ray():
+    datum = _hand_datum([[1j], [-1j], [0.5j], [-0.5j]], ["noncompact"] * 2 + ["compact"] * 2, 1)
+    gens = roots.c_max(datum, [1.0]).generators
+    # the positive noncompact root is -i at x0 = 1, so the cone is x >= 0
+    assert gens.shape == (1, 1) and gens[0, 0] == pytest.approx(1.0)
+
+
+def test_cmax_keeps_the_lineality_space():
+    # one positive noncompact root in rank 2 cuts out the half-plane x1 >= 0
+    datum = _hand_datum([[1j, 0.0], [-1j, 0.0]], ["noncompact"] * 2, 2)
+    cone = roots.c_max(datum, [1.0, 0.3])
+    assert cone.generators.shape == (2, 3)
+    for x in ([1.0, 5.0], [1.0, -5.0], [0.0, 1.0], [0.0, -1.0]):
+        assert cone.contains(x)
+    assert not cone.contains([-1.0, 0.0])
+
+
+def test_dependent_cartan_rows_are_not_cartan(sl2):
+    with pytest.raises(NotCartan, match="linearly dependent"):
+        roots.root_decomposition(sl2.algebra, np.vstack([U_COORDS, 2.0 * U_COORDS]))
