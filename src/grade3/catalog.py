@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import block_diag
 
-from .cones import Cone, graded_parts, nonneg_poly_dim
+from .cones import Cone, graded_parts, nonneg_poly_dim, poly_gram
 from .liealg import Grading, GroupElement, LieAlgebraSpec, grade_by
 from .numkit import DEFAULT_TOL, Tolerance
 
@@ -237,22 +237,13 @@ def build_jacobi(n: int = 1) -> CatalogEntry:
         h[1 + two_n + i * n + i] = -0.5
 
     omega = _omega(n)
-    pdim = nonneg_poly_dim(two_n)
-    inject = np.empty((alg.dim, pdim))
+    quad = np.eye(nonneg_poly_dim(two_n))[two_n + 1:]
     cols = [_jacobi_rho(n, z=1.0)]
-    for k in range(two_n):
-        # linear coefficient l corresponds to the vector Omega l
-        cols.append(_jacobi_rho(n, v=omega @ np.eye(two_n)[k]))
-    for i in range(two_n):
-        for j in range(i, two_n):
-            q = np.zeros((two_n, two_n))
-            if i == j:
-                q[i, i] = 1.0
-            else:
-                q[i, j] = q[j, i] = 0.5
-            cols.append(_jacobi_rho(n, x=2.0 * omega @ q))
-    for idx, mat in enumerate(cols):
-        inject[:, idx] = alg.coords(mat)
+    # linear coefficient l corresponds to the vector Omega l, and a quadratic
+    # coefficient with Gram block Q to the sp(2n) element 2 Omega Q
+    cols += [_jacobi_rho(n, v=omega @ e) for e in np.eye(two_n)]
+    cols += [_jacobi_rho(n, x=2.0 * omega @ poly_gram(e, two_n)[1:, 1:]) for e in quad]
+    inject = np.column_stack([alg.coords(mat) for mat in cols])
     cone = Cone("nonneg_poly", alg.dim, n=two_n, inject=inject)
 
     return _finish(
@@ -371,17 +362,14 @@ _BUILDERS = {
 ENTRY_NAMES = tuple(_BUILDERS)
 DEMO_NAMES = ("sl2", "poincare3", "poincare4", "jacobi1", "solvable")
 
-_CACHE: dict[str, CatalogEntry] = {}
 
-
+@functools.cache
 def get_entry(name: str) -> CatalogEntry:
     """Cached lookup of a catalog entry by name."""
     if name not in _BUILDERS:
         raise KeyError(f"unknown catalog entry {name!r}; "
                        f"available: {', '.join(ENTRY_NAMES)}")
-    if name not in _CACHE:
-        _CACHE[name] = _BUILDERS[name]()
-    return _CACHE[name]
+    return _BUILDERS[name]()
 
 
 # Root fixtures: name -> (algebra, Cartan rows spanning a compactly embedded

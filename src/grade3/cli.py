@@ -106,30 +106,33 @@ def _document(args):
     return None
 
 
-def _load_setting(args, doc):
-    """(algebra, grading, cone or None) from --demo or the --file document."""
+def _load_setting(args, need_cone=False, need_g=False):
+    """(grading, cone or None, g or None) from --demo or the --file document;
+    --g takes precedence over the document's 'g'."""
+    doc = _document(args)
     if getattr(args, "demo", None):
         entry = catalog.get_entry(args.demo)
-        return entry.algebra, entry.grading, entry.cone
-    if doc is None:
+        algebra, grading, cone = entry.algebra, entry.grading, entry.cone
+    elif doc is None:
         raise UsageError("need --demo NAME or --file FILE")
-    algebra = _parse("bad algebra document", lambda: LieAlgebraSpec.from_json(doc["algebra"]))
-    h = _array(_parse("bad algebra document", doc.__getitem__, "h"), "file entry 'h'", 1)
-    grading = grade_by(algebra, h)
-    cone = None
-    if "cone" in doc:
-        cone = _parse("bad cone document", Cone.from_json, doc["cone"], algebra.dim)
-    return algebra, grading, cone
-
-
-def _need_g(args, algebra, doc) -> GroupElement:
-    if getattr(args, "g", None) is not None:
+    else:
+        algebra = _parse("bad algebra document", lambda: LieAlgebraSpec.from_json(doc["algebra"]))
+        h = _array(_parse("bad algebra document", doc.__getitem__, "h"), "file entry 'h'", 1)
+        grading = grade_by(algebra, h)
+        cone = None
+        if "cone" in doc:
+            cone = _parse("bad cone document", Cone.from_json, doc["cone"], algebra.dim)
+    if need_cone and cone is None:
+        raise UsageError("membership needs a cone (catalog demo or 'cone' entry)")
+    if not need_g:
+        return grading, cone, None
+    if args.g is not None:
         m = _array(args.g, "--g", 2)
     elif doc is not None and "g" in doc:
         m = _array(doc["g"], "file entry 'g'", 2)
     else:
         raise UsageError("need a group element via --g or a 'g' file entry")
-    return _parse("bad group element", GroupElement, algebra, m)
+    return grading, cone, _parse("bad group element", GroupElement, algebra, m)
 
 
 def _random_dim(args) -> int:
@@ -143,33 +146,23 @@ def _random_dim(args) -> int:
 
 
 def _cmd_grade(args, tol, rng):
-    _, grading, _ = _load_setting(args, _document(args))
+    grading, _, _ = _load_setting(args)
     return 0, {"dims": list(grading.dims)}
 
 
 def _cmd_member(args, tol, rng):
-    doc = _document(args)
-    algebra, grading, cone = _load_setting(args, doc)
-    if cone is None:
-        raise UsageError("membership needs a cone (catalog demo or 'cone' entry)")
-    g = _need_g(args, algebra, doc)
+    grading, cone, g = _load_setting(args, need_cone=True, need_g=True)
     return 0, {"member": semigroup.member_ShC(g, grading, cone, tol)}
 
 
 def _cmd_factor(args, tol, rng):
-    doc = _document(args)
-    algebra, grading, _ = _load_setting(args, doc)
-    g = _need_g(args, algebra, doc)
-    f = semigroup.triangular_factor(g, grading, args.order, tol)
-    return 0, f.to_json()
+    grading, _, g = _load_setting(args, need_g=True)
+    return 0, semigroup.triangular_factor(g, grading, args.order, tol).to_json()
 
 
 def _cmd_polar(args, tol, rng):
-    doc = _document(args)
-    algebra, grading, _ = _load_setting(args, doc)
-    g = _need_g(args, algebra, doc)
-    f = semigroup.polar_factor(g, grading, tol)
-    return 0, f.to_json()
+    grading, _, g = _load_setting(args, need_g=True)
+    return 0, semigroup.polar_factor(g, grading, tol).to_json()
 
 
 def _cmd_modular(args, tol, rng):
@@ -346,7 +339,8 @@ def main(argv=None) -> int:
     try:
         tol = _resolve_tol(args) if "tol" in args else None
         rng = _seeded_rng(args) if "seed" in args else None
-        code, payload = args.run(args, tol, rng)
+        with np.errstate(over="ignore"):  # the gates judge an overflowed scale
+            code, payload = args.run(args, tol, rng)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,13 +4,17 @@ Supported kinds: finitely generated (polyhedral), the sl2 Lorentz-type cone,
 the forward light cone, nonnegative polynomials of degree <= 2, and custom
 predicate cones.  Analytic kinds may be embedded into a larger ambient space
 through a linear injection; membership then also requires the off-subspace
-component to vanish within tolerance.
+component to vanish within tolerance.  The coefficient order of degree-<=2
+polynomials is defined here once (_quad_index); the Jacobi chart in catalog
+reads it through poly_gram.
 
 Membership is always one-sided: a point belongs to the cone when its
 violation (a nonnegative defect measure) is at most tol.value.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.optimize
@@ -37,8 +41,12 @@ def nonneg_poly_dim(n: int) -> int:
     return 1 + n + n * (n + 1) // 2
 
 
-def _pack_indices(n: int):
-    return [(i, j) for i in range(n) for j in range(i, n)]
+@functools.cache
+def _quad_index(n: int):
+    """Gram rows i+1, columns j+1 and weights (1 on the diagonal, 1/2 off it)
+    of the xi_i*xi_j coefficients, i <= j, in coefficient order."""
+    i, j = np.triu_indices(n)
+    return i + 1, j + 1, np.where(i == j, 1.0, 0.5)
 
 
 def poly_gram(coeffs, n: int) -> np.ndarray:
@@ -52,14 +60,9 @@ def poly_gram(coeffs, n: int) -> np.ndarray:
         raise AmbientMismatch("polynomial coefficient vector has wrong length")
     m = np.zeros((n + 1, n + 1))
     m[0, 0] = coeffs[0]
-    m[0, 1:] = coeffs[1 : n + 1] / 2.0
-    m[1:, 0] = coeffs[1 : n + 1] / 2.0
-    for (i, j), v in zip(_pack_indices(n), coeffs[n + 1 :]):
-        if i == j:
-            m[1 + i, 1 + i] = v
-        else:
-            m[1 + i, 1 + j] = v / 2.0
-            m[1 + j, 1 + i] = v / 2.0
+    m[0, 1:] = m[1:, 0] = coeffs[1 : n + 1] / 2.0
+    rows, cols, weights = _quad_index(n)
+    m[rows, cols] = m[cols, rows] = coeffs[n + 1 :] * weights
     return m
 
 
@@ -67,13 +70,11 @@ def gram_to_poly(m) -> np.ndarray:
     """Inverse of poly_gram."""
     m = np.asarray(m, dtype=float)
     n = m.shape[0] - 1
+    rows, cols, weights = _quad_index(n)
     out = np.empty(nonneg_poly_dim(n))
     out[0] = m[0, 0]
     out[1 : n + 1] = 2.0 * m[0, 1:]
-    out[n + 1 :] = [
-        m[1 + i, 1 + i] if i == j else 2.0 * m[1 + i, 1 + j]
-        for i, j in _pack_indices(n)
-    ]
+    out[n + 1 :] = m[rows, cols] / weights
     return out
 
 
@@ -103,6 +104,7 @@ class Cone:
         self.n = n
         self._violation_fn = violation_fn
         self._sampler = sampler
+        self.generators = self._inject = self._project = None
 
         if kind == "polyhedral":
             if generators is None:
@@ -113,36 +115,28 @@ class Cone:
             if g.shape[0] != self.ambient_dim:
                 raise AmbientMismatch("generators do not match ambient dimension")
             self.generators = g
+        elif kind == "custom":
+            if violation_fn is None:
+                raise ValueError("custom cone needs a violation function")
         else:
-            self.generators = None
-
-        native_dim = {"sl2_lorentz": 3, "light_cone": d, "nonneg_poly": None}.get(kind)
-        if kind == "light_cone":
-            if not d or d < 2:
-                raise ValueError("light cone needs dimension d >= 2")
-        if kind == "nonneg_poly":
-            if n is None or n < 1:
-                raise ValueError("nonneg_poly needs n >= 1")
-            native_dim = nonneg_poly_dim(n)
-        if kind in ("sl2_lorentz", "light_cone", "nonneg_poly"):
-            if inject is None:
-                if self.ambient_dim != native_dim:
-                    raise AmbientMismatch(
-                        "ambient dimension does not match the cone's native space"
-                    )
-                self._inject = None
-                self._project = None
-            else:
+            if kind == "sl2_lorentz":
+                native_dim = 3
+            elif kind == "light_cone":
+                if not d or d < 2:
+                    raise ValueError("light cone needs dimension d >= 2")
+                native_dim = d
+            else:  # nonneg_poly
+                if n is None or n < 1:
+                    raise ValueError("nonneg_poly needs n >= 1")
+                native_dim = nonneg_poly_dim(n)
+            if inject is not None:
                 inject = np.asarray(inject, dtype=float)
                 if inject.shape != (self.ambient_dim, native_dim):
                     raise AmbientMismatch("inject matrix has wrong shape")
                 self._inject = inject
                 self._project = np.linalg.pinv(inject)
-        else:
-            self._inject = None
-            self._project = None
-        if kind == "custom" and violation_fn is None:
-            raise ValueError("custom cone needs a violation function")
+            elif self.ambient_dim != native_dim:
+                raise AmbientMismatch("ambient dimension does not match the cone's native space")
         # Cheap construction-time sanity: 0 always belongs.
         if self.violation(np.zeros(self.ambient_dim)) > 1e-12:
             raise ValueError("cone rejects the origin")

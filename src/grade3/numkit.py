@@ -7,7 +7,7 @@ matrix and complex-vector codecs.  It owns the tolerance policy: every
 residual gate is decided by Tolerance.check (raise) or Tolerance.accepts
 (bool) against Tolerance.gate, which floors the data scale at 1; an infinite
 or NaN residual never passes.  The rank cutoff RANK_RTOL and the eigenvalue
-gap CLUSTER_GAP are fixed.
+gap CLUSTER_GAP are fixed.  scipy.linalg.logm owns a log's real part.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ class Tolerance:
             raise ValueError("tolerance must be finite and nonnegative")
 
     def gate(self, scale: float = 1.0) -> float:
-        """Largest residual accepted for data of the given magnitude."""
-        return self.value + self.value * max(1.0, abs(scale))
+        """Largest residual accepted for data of the given magnitude; 0 at
+        every scale, infinity included, for a zero tolerance."""
+        return self.value + self.value * max(1.0, abs(scale)) if self.value else 0.0
 
     def accepts(self, residual: float, scale: float = 1.0) -> bool:
         """residual <= gate(scale); an infinite or NaN residual never passes."""
@@ -153,7 +154,7 @@ def _cut_distance(z: complex) -> float:
 
 
 def logm_principal(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Principal matrix logarithm.
+    """Principal matrix logarithm; real for a real input when scipy finds it so.
 
     Raises BranchCutError when any eigenvalue lies within tol.value of the
     closed negative real axis, where the principal branch is ill-defined.
@@ -164,10 +165,7 @@ def logm_principal(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             raise BranchCutError(
                 f"eigenvalue {z} within {tol.value} of the branch cut"
             )
-    out = scipy.linalg.logm(a)
-    if not np.iscomplexobj(a) and np.abs(out.imag).max(initial=0.0) < 1e3 * np.finfo(float).eps * max(1.0, np.abs(out.real).max(initial=0.0)):
-        out = out.real
-    return out
+    return scipy.linalg.logm(a)
 
 
 def solve_lstsq(a, b):

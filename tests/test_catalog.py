@@ -98,6 +98,29 @@ def test_jacobi_chart_fixtures(jacobi1):
     assert not jacobi1.cone.contains(qp)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jacobi_inject_matches_explicit_chart(n):
+    # the chart written out with explicit i <= j loops over Gram blocks
+    entry = catalog.get_entry(f"jacobi{n}")
+    two_n = 2 * n
+    omega = catalog._omega(n)
+    cols = [catalog._jacobi_rho(n, z=1.0)]
+    for k in range(two_n):
+        cols.append(catalog._jacobi_rho(n, v=omega @ np.eye(two_n)[k]))
+    for i in range(two_n):
+        for j in range(i, two_n):
+            q = np.zeros((two_n, two_n))
+            if i == j:
+                q[i, i] = 1.0
+            else:
+                q[i, j] = q[j, i] = 0.5
+            cols.append(catalog._jacobi_rho(n, x=2.0 * omega @ q))
+    expected = np.empty((entry.algebra.dim, len(cols)))
+    for idx, mat in enumerate(cols):
+        expected[:, idx] = entry.algebra.coords(mat)
+    np.testing.assert_array_equal(entry.extras["inject"], expected)
+
+
 def test_solvable_default(solvable):
     assert solvable.grading.dims == (1, 1, 1)
     assert solvable.cone.contains([1.0, 0.0, 0.0])

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -313,7 +314,9 @@ def test_cli_transcript(capsys):
     cases = json.loads(TRANSCRIPT.read_text())
     assert len(cases) >= 20
     for case in cases:
-        code, out, _ = run_cli(capsys, *case["argv"])
+        with warnings.catch_warnings():  # a warning would reach stderr
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, *case["argv"])
         assert code == case["code"], case["argv"]
         assert json.loads(out) == json.loads(case["stdout"]), case["argv"]
         assert _NUMBER.sub("#", out) == _NUMBER.sub("#", case["stdout"]), case["argv"]
@@ -536,3 +539,26 @@ def test_extreme_valid_element_still_answers(capsys, verb):
         code, payload = run_json(capsys, verb, "--demo", "sl2",
                                  "--g", _diag(1e160, 1e-160))
     assert code == 0 and "error" not in payload
+
+
+# Overflow inside a verb is for the gates to judge; numpy's warnings about it
+# must not reach stderr.  pytest captures warnings apart from capsys, so they
+# are raised as errors here.
+@pytest.mark.parametrize("argv, code", [
+    (["factor", "--demo", "sl2", "--g", _diag(1e160, 1e-160)], 0),
+    (["member", "--demo", "poincare3", "--g", _diag(1e160, 1.0, 1.0, 1.0)], 1),
+    (["member", "--demo", "sl2", "--g", _diag(1e160, 1e-160), "--tol", "0"], 1),
+])
+def test_overflow_warnings_stay_off_stderr(capsys, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(capsys, *argv)
+    assert (got, err) == (code, "") and json.loads(out)
+
+
+def test_zero_tolerance_reports_a_zero_gate_at_overflowed_scale(capsys):
+    with np.errstate(over="ignore"):
+        code, payload = run_json(capsys, "member", "--demo", "sl2",
+                                 "--g", _diag(1e160, 1e-160), "--tol", "0")
+    assert code == 1 and payload["error"] == "AdjointOutOfSpan"
+    assert payload["detail"].endswith("above gate 0.000e+00 at scale inf")

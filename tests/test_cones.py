@@ -95,6 +95,38 @@ def test_poly_gram_cross_terms():
     np.testing.assert_allclose(gram_to_poly(poly_gram(coeffs, 2)), coeffs)
 
 
+def _reference_gram(coeffs, n):
+    """poly_gram written out with explicit i <= j loops."""
+    m = np.zeros((n + 1, n + 1))
+    m[0, 0] = coeffs[0]
+    k = n + 1
+    for i in range(n):
+        m[0, 1 + i] = m[1 + i, 0] = coeffs[1 + i] / 2.0
+        for j in range(i, n):
+            if i == j:
+                m[1 + i, 1 + i] = coeffs[k]
+            else:
+                m[1 + i, 1 + j] = m[1 + j, 1 + i] = coeffs[k] / 2.0
+            k += 1
+    return m
+
+
+def _reference_poly(m, n):
+    out = [m[0, 0]] + [2.0 * m[0, 1 + i] for i in range(n)]
+    out += [m[1 + i, 1 + j] if i == j else 2.0 * m[1 + i, 1 + j]
+            for i in range(n) for j in range(i, n)]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_poly_codec_matches_explicit_coefficient_order(n, rng):
+    for _ in range(20):
+        coeffs = rng.normal(size=nonneg_poly_dim(n)) * 10.0 ** rng.integers(-8, 8)
+        np.testing.assert_array_equal(poly_gram(coeffs, n), _reference_gram(coeffs, n))
+        m = rng.normal(size=(n + 1, n + 1))  # not symmetric: the upper triangle is read
+        np.testing.assert_array_equal(gram_to_poly(m), _reference_poly(m, n))
+
+
 def test_nonneg_poly_cone():
     c = Cone("nonneg_poly", 3, n=1)
     assert c.contains([1.0, 0.0, 1.0])       # 1 + x^2

@@ -199,3 +199,23 @@ def test_tolerance_check_message_names_residual_gate_and_scale():
         Tolerance(1e-9).check(2.0, 100.0, NotSelfAdjoint, "some gate")
     assert str(exc.value) == (
         "some gate: residual 2.000e+00 above gate 1.010e-07 at scale 1.000e+02")
+
+
+def test_zero_tolerance_gates_at_zero_at_every_scale():
+    # 0 * inf is NaN: an overflowed scale must not turn the zero gate into NaN
+    tol = Tolerance(0.0)
+    for scale in (0.0, 1.0, 1e300, np.inf):
+        assert tol.gate(scale) == 0.0
+    assert tol.accepts(0.0, np.inf) is True
+    assert tol.accepts(1e-300, np.inf) is False
+
+
+# scipy.linalg.logm drops a real input's negligible imaginary part; if a scipy
+# release stops doing so, polar factors would silently turn complex.
+@pytest.mark.parametrize("make", [
+    lambda: np.array([[1.0, -0.5], [0.5, 1.0]]),  # a complex-conjugate pair
+    lambda: numkit.expm(np.random.default_rng(6).normal(size=(6, 6))),
+])
+def test_logm_principal_of_real_input_is_float64(make):
+    out = numkit.logm_principal(make())
+    assert out.dtype == np.float64
