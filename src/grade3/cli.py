@@ -98,7 +98,7 @@ def _read_file(path: str):
 
 def _document(args):
     """The JSON document behind --file, or None."""
-    if getattr(args, "file", None):
+    if args.file:
         doc = _read_file(args.file)
         if not isinstance(doc, dict):
             raise UsageError(f"{args.file} must hold a JSON object")
@@ -110,7 +110,7 @@ def _load_setting(args, need_cone=False, need_g=False):
     """(grading, cone or None, g or None) from --demo or the --file document;
     --g takes precedence over the document's 'g'."""
     doc = _document(args)
-    if getattr(args, "demo", None):
+    if args.demo:
         entry = catalog.get_entry(args.demo)
         algebra, grading, cone = entry.algebra, entry.grading, entry.cone
     elif doc is None:
@@ -202,7 +202,7 @@ def _cmd_monotone(args, tol, rng):
 
 def _cmd_roots(args, tol, rng):
     doc = _document(args)
-    if getattr(args, "demo", None):
+    if args.demo:
         algebra, cartan, _ = catalog.root_fixture(args.demo)
     elif doc is not None:
         algebra = _parse("bad roots document", lambda: LieAlgebraSpec.from_json(doc["algebra"]))
@@ -274,17 +274,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=handler)
         return p
 
+    # Each verb reads its setting from exactly one source.
     p = add("grade", _cmd_grade, "eigenspace dimensions of a 3-grading")
-    p.add_argument("--demo", choices=catalog.ENTRY_NAMES)
-    p.add_argument("--file", help="JSON document with 'algebra' and 'h'")
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--demo", choices=catalog.ENTRY_NAMES)
+    src.add_argument("--file", help="JSON document with 'algebra' and 'h'")
 
     for name, handler, help_ in (
             ("member", _cmd_member, "compression-semigroup membership"),
             ("factor", _cmd_factor, "triangular factorization in the open cell"),
             ("polar", _cmd_polar, "polar factorization g0 exp(x)")):
         p = add(name, handler, help_, tol_flag)
-        p.add_argument("--demo", choices=catalog.ENTRY_NAMES)
-        p.add_argument("--file", help="JSON document ('algebra', 'h', optional 'cone', 'g')")
+        src = p.add_mutually_exclusive_group()
+        src.add_argument("--demo", choices=catalog.ENTRY_NAMES)
+        src.add_argument("--file", help="JSON document ('algebra', 'h', optional 'cone', 'g')")
         p.add_argument("--g", help="group element as a JSON matrix")
         if name == "factor":
             p.add_argument("--order", choices=("+0-", "-0+"), default="+0-",
@@ -293,20 +296,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("modular", _cmd_modular, "modular pair of a standard subspace",
             tol_flag, seed_flag)
-    p.add_argument("--file", help="JSON document with a subspace 'basis'")
-    p.add_argument("--random", type=int, metavar="N",
-                   help="use a seeded random standard subspace of C^N")
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--file", help="JSON document with a subspace 'basis'")
+    src.add_argument("--random", type=int, metavar="N",
+                     help="use a seeded random standard subspace of C^N")
 
     p = add("monotone", _cmd_monotone, "operator-monotonicity certificate for log",
             tol_flag, seed_flag, samples_flag)
-    p.add_argument("--file", help="JSON document with matrices 'a' and 'b'")
-    p.add_argument("--random", type=int, metavar="N",
-                   help="use a seeded random pair A <= B of size N")
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--file", help="JSON document with matrices 'a' and 'b'")
+    src.add_argument("--random", type=int, metavar="N",
+                     help="use a seeded random pair A <= B of size N")
 
     p = add("roots", _cmd_roots, "root decomposition for a compactly embedded Cartan",
             tol_flag)
-    p.add_argument("--demo", choices=catalog.ROOT_FIXTURE_NAMES)
-    p.add_argument("--file", help="JSON document with 'algebra' and 'cartan'")
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--demo", choices=catalog.ROOT_FIXTURE_NAMES)
+    src.add_argument("--file", help="JSON document with 'algebra' and 'cartan'")
     p.add_argument("--x0", help="regular element (JSON list, Cartan coordinates) "
                                "to also report c_max generators")
 

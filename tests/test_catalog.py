@@ -166,7 +166,9 @@ def test_polar_domain_sampler(sl2, rng):
     for _ in range(25):
         g = catalog.sample_polar_domain(sl2, rng)
         f = semigroup.polar_factor(g, sl2.grading)
-        assert f.residual <= 1e-9
+        np.testing.assert_allclose(sl2.grading.tau @ f.x, -f.x, atol=1e-9)
+        np.testing.assert_allclose(ad_image(f.g0, sl2.grading.h), sl2.grading.h,
+                                   atol=1e-9)
 
 
 def test_entry_json(sl2):

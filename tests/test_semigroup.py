@@ -11,7 +11,7 @@ import pytest
 
 from grade3 import catalog
 from grade3.cones import graded_parts
-from grade3.errors import BranchCutError, NotInOpenCell, NotPolar
+from grade3.errors import AdjointOutOfSpan, BranchCutError, NotInOpenCell, NotPolar
 from grade3.liealg import GroupElement, ad_image
 from grade3.semigroup import (
     member_P,
@@ -46,7 +46,6 @@ def test_factor_plus_zero_minus(sl2):
     np.testing.assert_allclose(f.x_plus, [0.0, 1.0, 0.0], atol=1e-10)
     np.testing.assert_allclose(f.x_minus, [0.0, 0.0, 1.0], atol=1e-10)
     np.testing.assert_allclose(f.g0.matrix, np.eye(2), atol=1e-10)
-    assert f.residual < 1e-9
     assert f.order == "+0-"
 
 
@@ -55,7 +54,6 @@ def test_factor_minus_zero_plus(sl2):
     np.testing.assert_allclose(f.x_plus, [0.0, 0.5, 0.0], atol=1e-10)
     np.testing.assert_allclose(f.x_minus, [0.0, 0.0, 0.5], atol=1e-10)
     np.testing.assert_allclose(f.g0.matrix, np.diag([2.0, 0.5]), atol=1e-10)
-    assert f.residual < 1e-9
 
 
 def test_factor_slack_in_cone_parts(sl2):
@@ -79,7 +77,7 @@ def test_factor_bad_order(sl2):
 
 def test_factor_json_keys(sl2):
     d = triangular_factor(g_of(sl2, G_IN), sl2.grading).to_json()
-    assert set(d) == {"x_plus", "g0", "x_minus", "residual", "order"}
+    assert set(d) == {"x_plus", "g0", "x_minus", "order"}
 
 
 def test_member_P(sl2):
@@ -135,11 +133,10 @@ def test_polar_frozen(sl2):
 
 def test_polar_structure(sl2):
     f = polar_factor(g_of(sl2, G_IN), sl2.grading)
-    assert f.residual < 1e-9
     np.testing.assert_allclose(sl2.grading.tau @ f.x, -f.x, atol=1e-9)
     np.testing.assert_allclose(ad_image(f.g0, sl2.grading.h), sl2.grading.h,
                                atol=1e-9)
-    assert set(f.to_json()) == {"g0", "x", "residual"}
+    assert set(f.to_json()) == {"g0", "x"}
 
 
 def test_polar_branch_cut(sl2):
@@ -172,9 +169,10 @@ def test_diverging_leading_factor_leaves_open_cell(poincare3):
             triangular_factor(draws[i], poincare3.grading)
 
 
-# (entry, draw index, orders) at sampler scale 10 where g or an intermediate
-# factor is numerically singular, so inverting it fails inside
-# triangular_factor.
+# (entry, draw index, orders) at sampler scale 10: draws that leave the open
+# cell.  In the first six g or an intermediate factor is numerically singular;
+# in the last five the linear system for the leading factor is inconsistent,
+# which the later gates refuse.
 SINGULAR_DRAWS = [
     ("poincare3", 28, ("-0+",)),
     ("poincare3", 144, ("-0+",)),
@@ -182,6 +180,11 @@ SINGULAR_DRAWS = [
     ("jacobi1", 130, ("+0-", "-0+")),
     ("jacobi1", 176, ("+0-", "-0+")),
     ("jacobi2", 78, ("+0-", "-0+")),
+    ("poincare3", 15, ("-0+",)),
+    ("poincare6", 179, ("-0+",)),
+    ("jacobi1", 168, ("+0-",)),
+    ("jacobi2", 25, ("+0-",)),
+    ("jacobi3", 154, ("+0-",)),
 ]
 
 
@@ -194,3 +197,51 @@ def test_singular_factor_leaves_open_cell(name, index, orders):
     for order in orders:
         with pytest.raises(NotInOpenCell):
             triangular_factor(GroupElement(entry.algebra, g.matrix), entry.grading, order)
+
+
+# Cells (entry, sampler scale, order) whose first GUARD_DRAWS draws include an
+# accepted factorization far from the drawn factors (ROADMAP item 1).
+WRONG_ACCEPTS = {
+    ("jacobi1", 5.0, "+0-"), ("jacobi1", 10.0, "+0-"),
+    ("jacobi2", 5.0, "+0-"), ("jacobi2", 10.0, "+0-"),
+    ("jacobi3", 5.0, "+0-"), ("jacobi3", 10.0, "+0-"),
+}
+GUARD_DRAWS = 70
+
+
+def _drawn_factors(entry, rng, scale):
+    """(x+, g0, x-) in the order sample_semigroup_element draws them."""
+    xp = catalog._clipped(entry.cone_plus.sample(rng), scale)
+    xm = catalog._clipped(entry.cone_minus.sample(rng), scale)
+    return xp, catalog.sample_stabilizer(entry, rng, scale), xm
+
+
+def _relative_error(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("name,scale,order", [
+    pytest.param(name, scale, order, marks=[pytest.mark.xfail(
+        strict=True, reason="accepts wrong factors (ROADMAP item 1)")]
+        if (name, scale, order) in WRONG_ACCEPTS else [])
+    for name in catalog.ENTRY_NAMES for scale in (2.0, 5.0, 10.0)
+    for order in ("+0-", "-0+")])
+def test_accepted_factors_match_drawn_factors(name, scale, order):
+    entry = catalog.get_entry(name)
+    alg = entry.algebra
+    rng = np.random.default_rng(0)
+    eps = np.finfo(float).eps
+    for i in range(GUARD_DRAWS):
+        xp, g0, xm = _drawn_factors(entry, rng, scale)
+        first, last = (xp, xm) if order == "+0-" else (xm, xp)
+        g = GroupElement.exp(alg, first) @ g0 @ GroupElement.exp(alg, last)
+        if i == 0 and order == "+0-":  # the draws follow the sampler's
+            sampled = catalog.sample_semigroup_element(entry, np.random.default_rng(0), scale)
+            np.testing.assert_array_equal(g.matrix, sampled.matrix)
+        try:
+            f = triangular_factor(g, entry.grading, order)
+        except (AdjointOutOfSpan, NotInOpenCell):
+            continue
+        err = max(_relative_error(f.x_plus, xp), _relative_error(f.x_minus, xm),
+                  _relative_error(f.g0.matrix, g0.matrix))
+        assert err <= 1e-6 + 1e3 * eps * np.linalg.cond(g.matrix), (i, err)
