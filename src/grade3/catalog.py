@@ -433,8 +433,13 @@ def sample_semigroup_element(entry: CatalogEntry, rng: np.random.Generator,
 
 def sample_polar_domain(entry: CatalogEntry, rng: np.random.Generator,
                         scale: float = 0.3) -> GroupElement:
-    """g0 exp(x) with g0 fixing h and x odd under the grading involution;
-    small enough that the polar factorization stays on the principal branch."""
+    """g0 exp(x) with g0 fixing h and x odd under the grading involution.
+
+    polar_factor recovers x from the principal log of sharp(g) g = exp(2x),
+    which is 2x only while every eigenvalue of 2 * to_matrix(x) has |Im| < pi.
+    At the default scale every draw on the catalog stays in that strip; from
+    scale 1 on some leave it, and polar_factor then refuses them (NotPolar)
+    or returns another polar factorization than the drawn one."""
     y = entry.grading.part(sample_algebra_element(entry, rng, scale), 0)
     raw = sample_algebra_element(entry, rng, scale)
     x = entry.grading.part(raw, 1) + entry.grading.part(raw, -1)

@@ -1,13 +1,15 @@
 """Dense linear-algebra kernel used by every other module.
 
 Thin, deterministic wrappers around numpy/scipy primitives plus the pieces
-they do not provide: principal-log branch-cut detection, the Loewner order,
-eigenvalue clustering, adaptive Gauss-Legendre quadrature, and the JSON
-matrix and complex-vector codecs.  It owns the tolerance policy: every
-residual gate is decided by Tolerance.check (raise) or Tolerance.accepts
-(bool) against Tolerance.gate, which floors the data scale at 1; an infinite
-or NaN residual never passes.  The rank cutoff RANK_RTOL and the eigenvalue
-gap CLUSTER_GAP are fixed.  scipy.linalg.logm owns a log's real part.
+they do not provide: the principal matrix log with branch-cut detection,
+the Loewner order, eigenvalue clustering, adaptive Gauss-Legendre
+quadrature, and the JSON matrix and complex-vector codecs.  It owns the
+tolerance policy: every residual gate is decided by Tolerance.check (raise)
+or Tolerance.accepts (bool) against Tolerance.gate, which floors the data
+scale at 1; an infinite or NaN residual never passes.  The rank cutoff
+RANK_RTOL and the eigenvalue gap CLUSTER_GAP are fixed.  logm_principal owns
+a log's real part: a real matrix clear of the branch cut has a real
+principal log.
 """
 
 from __future__ import annotations
@@ -153,19 +155,57 @@ def _cut_distance(z: complex) -> float:
     return abs(z)
 
 
-def logm_principal(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Principal matrix logarithm; real for a real input when scipy finds it so.
+# Nodes and weights on [0, 1] of the degree-8 Gauss-Legendre Pade
+# approximant to log(I + X), accurate to double precision for ||X||_1 up to
+# 0.367 (Al-Mohy & Higham 2012, Table 2.1); _LOG_THETA keeps a margin below
+# it.  Each square root halves log(t), so _LOG_MAX_SQRTS halvings bring any
+# log with finite entries under _LOG_THETA.
+_LOG_NODES, _LOG_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_LOG_NODES, _LOG_WEIGHTS = (_LOG_NODES + 1.0) / 2.0, _LOG_WEIGHTS / 2.0
+_LOG_THETA = 0.25
+_LOG_MAX_SQRTS = 1100
 
-    Raises BranchCutError when any eigenvalue lies within tol.value of the
-    closed negative real axis, where the principal branch is ill-defined.
+
+def logm_principal(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Principal matrix logarithm, real for a real input.
+
+    Inverse scaling and squaring on one complex Schur form a = z t z^H
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 34, 2012): square roots of t
+    until ||t - I||_1 <= _LOG_THETA, the Pade sum as one stacked solve, the
+    diagonal reset to the logs of t's eigenvalues.  The principal log of a
+    real matrix with no eigenvalue on the closed negative axis is real, so a
+    real input gives the real part.  Raises BranchCutError when any
+    eigenvalue, clustered as in eigvals_clustered (for a real input together
+    with its conjugates), lies within tol.value of that axis, where the
+    principal branch is ill-defined, or when the square roots overflow or do
+    not reach the Pade region within _LOG_MAX_SQRTS steps.
     """
     a = require_finite(a)
-    for z in eigvals_clustered(a):
-        if _cut_distance(complex(z)) <= tol.value:
+    t0, z = _schur(a)
+    vals = np.diag(t0)
+    if not np.iscomplexobj(a):
+        # a real spectrum is closed under conjugation: mirroring it merges a
+        # real eigenvalue's roundoff imaginary part away before the check
+        vals = np.concatenate([vals, vals.conj()])
+    for lam in _merge_clusters(vals):
+        if _cut_distance(complex(lam)) <= tol.value:
             raise BranchCutError(
-                f"eigenvalue {z} within {tol.value} of the branch cut"
+                f"eigenvalue {lam} within {tol.value} of the branch cut"
             )
-    return scipy.linalg.logm(a)
+    eye = np.eye(len(t0))
+    t, k = t0, 0
+    while not (dist := np.linalg.norm(t - eye, 1)) <= _LOG_THETA:
+        if k == _LOG_MAX_SQRTS or not dist < np.inf:
+            raise BranchCutError(
+                f"{k} square roots did not bring the Schur factor near I")
+        t, k = scipy.linalg.sqrtm(t), k + 1
+    x = t - eye
+    terms = np.linalg.solve(eye + _LOG_NODES[:, None, None] * x,
+                            np.broadcast_to(x, (len(_LOG_NODES),) + x.shape))
+    log_t = np.exp2(k) * np.tensordot(_LOG_WEIGHTS, terms, axes=1)
+    np.fill_diagonal(log_t, np.log(np.diag(t0)))
+    out = z @ log_t @ z.conj().T
+    return out if np.iscomplexobj(a) else out.real
 
 
 def solve_lstsq(a, b):
@@ -226,17 +266,24 @@ def clusters(vals, gap: float) -> list[np.ndarray]:
     return runs
 
 
-def eigvals_clustered(a) -> np.ndarray:
-    """Eigenvalues of a via the (complex) Schur form, with values closer than
-    CLUSTER_GAP merged onto their mean.  Robust for the non-normal matrices
-    produced by adjoint actions in non-orthogonal bases."""
-    a = np.atleast_2d(a)
-    t = scipy.linalg.schur(a.astype(complex), output="complex")[0]
-    vals = np.diag(t).copy()
+def _schur(a):
+    """Complex Schur form (t, z) of a, a = z t z^H."""
+    return scipy.linalg.schur(np.atleast_2d(a).astype(complex), output="complex")
+
+
+def _merge_clusters(vals) -> np.ndarray:
+    """vals with each CLUSTER_GAP run of clusters() merged onto its mean."""
     out = vals.copy()
     for run in clusters(vals, CLUSTER_GAP):
         out[run] = vals[run].mean()
     return out
+
+
+def eigvals_clustered(a) -> np.ndarray:
+    """Eigenvalues of a via the (complex) Schur form, with values closer than
+    CLUSTER_GAP merged onto their mean.  Robust for the non-normal matrices
+    produced by adjoint actions in non-orthogonal bases."""
+    return _merge_clusters(np.diag(_schur(a)[0]))
 
 
 # 15-point Gauss-Legendre rule used by the adaptive quadrature.

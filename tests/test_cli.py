@@ -355,6 +355,18 @@ def test_module_entry_point():
     assert json.loads(proc.stdout) == {"dims": [1, 1, 1]}
 
 
+def test_polar_of_a_large_element_writes_nothing_to_stderr():
+    # sharp(g) g has condition number 2.5e6; its log answers without a warning
+    g = ("[[6.975571572588108, -9.337060459619968], "
+         "[-40.61873054682933, 54.5130300724121]]")
+    proc = subprocess.run(
+        [sys.executable, "-m", "grade3", "polar", "--demo", "sl2", "--g", g,
+         "--json"], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    assert set(json.loads(proc.stdout)) == {"g0", "x"}
+
+
 @pytest.mark.parametrize("name", ["poincare3", "jacobi1"])
 def test_member_file_with_embedded_demo_cone(capsys, tmp_path, name):
     # the setting `demo` prints, cone included, answers like --demo

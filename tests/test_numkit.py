@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from grade3 import numkit
+from grade3 import catalog, numkit
 from grade3.errors import BranchCutError, NotSelfAdjoint
+from grade3.liealg import sharp
 from grade3.numkit import Tolerance
 
 
@@ -86,10 +88,106 @@ def test_logm_branch_cut():
         numkit.logm_principal(np.diag([1.0, 0.0]))
 
 
+def test_logm_refuses_a_real_negative_eigenvalue_at_zero_tolerance():
+    # the complex Schur form puts eigenvalue -1 at -1 + 3e-16j, clear of a
+    # zero tolerance; its conjugate pulls it back onto the cut
+    v = np.random.default_rng(3).normal(size=(3, 3))
+    a = v @ np.diag([-1.0, 1.0, 2.0]) @ np.linalg.inv(v)
+    with pytest.raises(BranchCutError):
+        numkit.logm_principal(a, Tolerance(0.0))
+
+
 def test_logm_real_output_for_real_input():
     a = numkit.expm(np.array([[0.1, 0.7], [-0.2, 0.3]]))
     out = numkit.logm_principal(a)
     assert not np.iscomplexobj(out)
+
+
+def _verify_draws(n):
+    """The (m, m) matrices expm(0.4 N) that verify's semigroup suite logs."""
+    rng = np.random.default_rng(3)
+    return [numkit.expm(0.4 * rng.normal(size=(m, m)))
+            for m in (int(rng.integers(2, 9)) for _ in range(n))]
+
+
+def test_logm_does_not_depend_on_the_global_rng():
+    mats = _verify_draws(300)
+    state = np.random.get_state()
+    try:
+        runs = []
+        for seed in (0, 1, 2):
+            np.random.seed(seed)
+            runs.append([numkit.logm_principal(a).tobytes() for a in mats])
+    finally:
+        np.random.set_state(state)
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_logm_runs_one_schur_and_no_scipy_logm(monkeypatch):
+    calls = []
+    schur = scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda *a, **k: calls.append(1) or schur(*a, **k))
+    monkeypatch.setattr(scipy.linalg, "logm", None)
+    for a in _verify_draws(5):
+        numkit.logm_principal(a)
+    assert len(calls) == 5
+
+
+def test_logm_refuses_square_roots_that_overflow():
+    # eigenvalues 1e-200 clear a zero tolerance, but the log's corner entry
+    # (about 1e400) overflows, and so do the square roots on the way there
+    a = np.array([[1e-200, 1e200], [0.0, 1e-200]])
+    with pytest.raises(BranchCutError, match="square roots"):
+        numkit.logm_principal(a, Tolerance(0.0))
+
+
+def _rel_err(out, ref):
+    return float(np.abs(out - ref).max() / np.abs(ref).max())
+
+
+def _oracle_cases():
+    """(a, tol, exact log) triples; the exact logs are good to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mpmathify
+
+    def mp_logm(a):
+        with mpmath.workdps(50):
+            return np.array(mpmath.logm(mpmath.matrix(a.tolist())).tolist(),
+                            dtype=complex)
+
+    cases = []
+    for name in catalog.ENTRY_NAMES:  # one scale-0.3 polar input per entry
+        entry = catalog.get_entry(name)
+        g = catalog.sample_polar_domain(entry, np.random.default_rng(1), 0.3)
+        m = (sharp(g) @ g).matrix
+        cases.append((m, numkit.DEFAULT_TOL, mp_logm(m)))
+    cases.append((np.array([[1.0, 1.0], [0.0, 1.0]]), numkit.DEFAULT_TOL,
+                  np.array([[0.0, 1.0], [0.0, 0.0]])))  # Jordan block
+    rng = np.random.default_rng(2)
+    z = numkit.expm(0.4 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))))
+    cases.append((z, numkit.DEFAULT_TOL, mp_logm(z)))
+    # an eigenvalue 1e-10 from the cut, admitted by a zero tolerance only;
+    # the log of a triangular 2x2 has the divided difference as corner entry
+    l1, b, l2 = -1.0 + 1e-10j, 0.3, 0.5 + 0.2j
+    with mpmath.workdps(50):
+        g1, g2 = mpmath.log(mp(l1)), mpmath.log(mp(l2))
+        corner = mp(b) * (g1 - g2) / (mp(l1) - mp(l2))
+        exact = np.array([[complex(g1), complex(corner)], [0.0, complex(g2)]])
+    cases.append((np.array([[l1, b], [0.0, l2]]), Tolerance(0.0), exact))
+    return cases
+
+
+def test_logm_matches_a_50_digit_oracle_as_well_as_scipy():
+    cases = _oracle_cases()
+    ours, theirs = [], []
+    for a, tol, exact in cases:
+        ours.append(_rel_err(numkit.logm_principal(a, tol), exact))
+        theirs.append(_rel_err(scipy.linalg.logm(a), exact))
+        assert ours[-1] <= max(4.0 * theirs[-1], 2e-15), (a, ours[-1], theirs[-1])
+    assert np.median(ours) <= 2.0 * np.median(theirs)
+    with pytest.raises(BranchCutError):  # the near-cut input, default tolerance
+        numkit.logm_principal(cases[-1][0])
 
 
 def test_solve_lstsq_exact_and_residual():
@@ -210,8 +308,9 @@ def test_zero_tolerance_gates_at_zero_at_every_scale():
     assert tol.accepts(1e-300, np.inf) is False
 
 
-# scipy.linalg.logm drops a real input's negligible imaginary part; if a scipy
-# release stops doing so, polar factors would silently turn complex.
+# The principal log of a real matrix clear of the branch cut is real, so
+# logm_principal returns a float64 array for a real input; polar factors would
+# otherwise turn complex.
 @pytest.mark.parametrize("make", [
     lambda: np.array([[1.0, -0.5], [0.5, 1.0]]),  # a complex-conjugate pair
     lambda: numkit.expm(np.random.default_rng(6).normal(size=(6, 6))),

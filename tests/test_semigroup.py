@@ -157,6 +157,26 @@ def test_polar_singular_element_is_not_polar(name, m):
         polar_factor(g_of(entry, m), entry.grading)
 
 
+def test_polar_domain_draws_outside_the_principal_strip_are_refused(poincare3):
+    # sharp(g) g = exp(2x) has principal log 2x only while the eigenvalues of
+    # 2x lie in the strip |Im| < pi; at scale 1, 22 of these 200 draws do not
+    rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+    refusals = 0
+    for _ in range(200):
+        g = catalog.sample_polar_domain(poincare3, rng, 1.0)
+        catalog.sample_algebra_element(poincare3, twin, 1.0)  # g0's draw
+        raw = catalog.sample_algebra_element(poincare3, twin, 1.0)
+        x = poincare3.grading.part(raw, 1) + poincare3.grading.part(raw, -1)
+        vals = np.linalg.eigvals(2.0 * poincare3.algebra.to_matrix(x))
+        try:
+            polar_factor(g, poincare3.grading)
+            refused = False
+        except NotPolar:
+            refused = True
+        assert refused == (np.abs(vals.imag).max() >= np.pi)
+        refusals += refused
+    assert refusals == 22
+
 
 def test_diverging_leading_factor_leaves_open_cell(poincare3):
     # At sampler scale 10 these draws have a leading factor whose exp(-x)
