@@ -1,12 +1,13 @@
 """Compression semigroups of a 3-grading and their factorizations.
 
 member_ShC decides h - Ad(g)h in C directly.  triangular_factor computes the
-open-cell factorization g = exp(x+) g0 exp(x-) (or the mirrored order): with
-w = Ad(g)h and graded parts (w1, w0, w-1), expanding w = e^{ad x+}(h + y) for
-y in g^{-1} gives w0 = h + [x+, y] and w1 = -(1/2)(I + ad w0) x+, so x+
-solves a linear system on g^1; x- is then read off from h - Ad(g'^{-1})h.
-The Olshanski-type polar factorization g0 exp(x) comes from the principal
-log of sharp(g) g.
+open-cell factorization g = exp(x-) g0 exp(x+): with w = Ad(g)h and graded
+parts (w1, w0, w-1), expanding w = e^{ad x-}(h + y) for y in g^1 gives
+w0 = h + [x-, y] and w-1 = (1/2)(I - ad w0) x-, so x- solves a linear system
+on g^{-1}; x+ is then read off from Ad(g1^{-1})h = h + x+, g1 = exp(-x-) g.
+The order g = exp(x+) g0 exp(x-) is its mirror, g^{-1} = exp(-x-) g0^{-1}
+exp(-x+).  The Olshanski-type polar factorization g0 exp(x) comes from the
+principal log of sharp(g) g.
 """
 
 from __future__ import annotations
@@ -82,57 +83,55 @@ def member_P(g: GroupElement, grading: Grading, sign: int,
     return tol.accepts(np.linalg.norm(off), np.linalg.norm(r))
 
 
+def _inverse_factor(alg, x, which: str) -> GroupElement:
+    """exp(-x), the inverse of the factor exp(x), refusing a diverging x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = numkit.expm(alg.to_matrix(-x))
+    if not np.isfinite(m).all():
+        raise NotInOpenCell(f"{which} factor exp(-x) overflows")
+    return GroupElement(alg, m)
+
+
 def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
                       tol: Tolerance = DEFAULT_TOL) -> TriangularFactorization:
     """Factor g through the open cell G^1 G^0 G^{-1} (or G^{-1} G^0 G^1).
 
-    Raises AdjointOutOfSpan when the first conjugation Ad(g)h fails its
-    gate, and NotInOpenCell for every later failure: a numerically singular
-    g, an overflowing leading factor, or a gate on the residual conjugation,
-    the trailing factor or the middle factor.
+    '-0+' is eliminated directly; '+0-' is the mirror of '-0+' on g^{-1}.
+    Raises AdjointOutOfSpan when the first conjugation (of g for '-0+', of
+    g^{-1} for '+0-') fails its gate, and NotInOpenCell for every later
+    failure: a numerically singular g, an overflowing factor, or a gate on
+    the residual conjugation or the middle factor.
     """
     if order not in ("+0-", "-0+"):
         raise ValueError("order must be '+0-' or '-0+'")
     alg = g.algebra
-    s = +1 if order == "+0-" else -1
     h = grading.h
     try:
+        if order == "+0-":
+            g = g.inverse()
         w = ad_image(g, h, tol)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NotInOpenCell(f"g is numerically singular: {exc}") from exc
-    w_lead = grading.part(w, s)    # graded part matching the leading factor
-    w0 = grading.part(w, 0)
 
-    # (I + s ad(w0)) x_lead = -2 s w_lead, solved on the leading eigenspace.
-    # An inconsistent system leaves Ad(g1)h off h + g^{-lead}, which the
-    # gates below refuse, so its residual is not gated here.
-    basis = grading.eigenbasis(s)
-    op = np.eye(alg.dim) + s * alg.ad(w0)
-    mat = basis.T @ op @ basis
-    rhs = basis.T @ (-2.0 * s * w_lead)
-    sol, _ = numkit.solve_lstsq(mat, rhs)
-    x_lead = basis @ sol
+    # (I - ad(w0)) x- = 2 w-1, solved on g^{-1}.  An inconsistent system
+    # leaves Ad(g1)h off h + g^1, which the gates below refuse, so its
+    # residual is not gated here.
+    basis = grading.eigenbasis(-1)
+    mat = basis.T @ (np.eye(alg.dim) - alg.ad(grading.part(w, 0))) @ basis
+    sol, _ = numkit.solve_lstsq(mat, basis.T @ (2.0 * grading.part(w, -1)))
+    x_minus = basis @ sol
     scale = float(np.linalg.norm(w))
 
-    # A diverging leading factor overflows exp before any check sees it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lead_inv = numkit.expm(alg.to_matrix(-x_lead))
-    if not np.isfinite(lead_inv).all():
-        raise NotInOpenCell("leading factor exp(-x) overflows")
-
     try:
-        g1 = GroupElement(alg, lead_inv) @ g
+        g1 = _inverse_factor(alg, x_minus, "leading") @ g
         r = ad_image(g1, h, tol) - h
-        tol.check(np.linalg.norm(r - grading.part(r, -s)), scale,
+        tol.check(np.linalg.norm(r - grading.part(r, 1)), scale,
                   NotInOpenCell, "residual conjugation does not reach h + g^{-lead}")
 
-        # Trailing factor from Ad(g1^{-1})h = h -+ x_trail.
-        r_inv = ad_image(g1.inverse(), h, tol) - h
-        x_trail = grading.part(s * -1.0 * r_inv, -s)
-        tol.check(np.linalg.norm(r_inv - grading.part(r_inv, -s)), scale,
-                  NotInOpenCell, "trailing factor is not purely graded")
-
-        g0 = g1 @ GroupElement.exp(alg, -x_trail)
+        # Trailing factor from Ad(g1^{-1})h = h + x+.  Its off-degree part
+        # needs no gate of its own: g0 fixes h only if it vanishes.
+        x_plus = grading.part(ad_image(g1.inverse(), h, tol) - h, 1)
+        g0 = g1 @ _inverse_factor(alg, x_plus, "trailing")
         tol.check(np.linalg.norm(ad_image(g0, h, tol) - h), scale,
                   NotInOpenCell, "middle factor does not fix h")
     except (AdjointOutOfSpan, np.linalg.LinAlgError) as exc:
@@ -141,9 +140,9 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
         # failed factorization, not a broken group element.
         raise NotInOpenCell(f"factor verification failed: {exc}") from exc
 
-    if s == +1:
-        return TriangularFactorization(x_lead, g0, x_trail, order)
-    return TriangularFactorization(x_trail, g0, x_lead, order)
+    if order == "+0-":  # the mirror; 0.0 - x negates without signing zeros
+        return TriangularFactorization(0.0 - x_plus, g0.inverse(), 0.0 - x_minus, order)
+    return TriangularFactorization(x_plus, g0, x_minus, order)
 
 
 def member_decomposed(g: GroupElement, grading: Grading, cone: Cone,
