@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     try:
         tol = _resolve_tol(args) if "tol" in args else None
         rng = _seeded_rng(args) if "seed" in args else None
-        with np.errstate(over="ignore"):  # the gates judge an overflowed scale
+        with np.errstate(over="ignore", invalid="ignore"):  # the gates judge inf and NaN
             code, payload = args.run(args, tol, rng)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Convex cones in Lie algebra coordinate spaces.
 
 Supported kinds: finitely generated (polyhedral), the sl2 Lorentz-type cone,
-the forward light cone, nonnegative polynomials of degree <= 2, and custom
-predicate cones.  Analytic kinds may be embedded into a larger ambient space
-through a linear injection; membership then also requires the off-subspace
-component to vanish within tolerance.  The coefficient order of degree-<=2
+the forward light cone, nonnegative polynomials of degree <= 2, and graded
+sections: the points of a projector's range whose signed copy lies in a base
+cone (the C+ and C- of graded_parts).  Analytic kinds may be embedded into a
+larger ambient space through a linear injection; membership then also
+requires the off-subspace component to vanish within tolerance.  The coefficient order of degree-<=2
 polynomials is defined here once (_quad_index); the Jacobi chart in catalog
 reads it through poly_gram.
 
@@ -33,7 +34,7 @@ __all__ = [
     "nonneg_poly_dim",
 ]
 
-_KINDS = ("polyhedral", "sl2_lorentz", "light_cone", "nonneg_poly", "custom")
+_KINDS = ("polyhedral", "sl2_lorentz", "light_cone", "nonneg_poly", "section")
 
 
 def nonneg_poly_dim(n: int) -> int:
@@ -95,29 +96,30 @@ class Cone:
     """
 
     def __init__(self, kind: str, ambient_dim: int, *, generators=None, d=None,
-                 n=None, inject=None, violation_fn=None, sampler=None):
+                 n=None, inject=None, base=None, projector=None, sign=None):
         if kind not in _KINDS:
             raise ValueError(f"unknown cone kind {kind!r}")
         self.kind = kind
         self.ambient_dim = int(ambient_dim)
         self.d = d
         self.n = n
-        self._violation_fn = violation_fn
-        self._sampler = sampler
+        self.base, self.projector, self.sign = base, projector, sign
         self.generators = self._inject = self._project = None
 
         if kind == "polyhedral":
             if generators is None:
                 generators = np.zeros((self.ambient_dim, 0))
-            g = np.asarray(generators, dtype=float)
+            g = numkit.require_finite(np.asarray(generators, dtype=float), "generators")
             if g.ndim == 1:
                 g = g[:, None]
             if g.shape[0] != self.ambient_dim:
                 raise AmbientMismatch("generators do not match ambient dimension")
             self.generators = g
-        elif kind == "custom":
-            if violation_fn is None:
-                raise ValueError("custom cone needs a violation function")
+        elif kind == "section":
+            if base is None or projector is None or sign is None:
+                raise ValueError("section needs a base cone, a projector and a sign")
+            if (base.ambient_dim, *np.shape(projector)) != (self.ambient_dim,) * 3:
+                raise AmbientMismatch("section does not match ambient dimension")
         else:
             if kind == "sl2_lorentz":
                 native_dim = 3
@@ -137,9 +139,6 @@ class Cone:
                 self._project = np.linalg.pinv(inject)
             elif self.ambient_dim != native_dim:
                 raise AmbientMismatch("ambient dimension does not match the cone's native space")
-        # Cheap construction-time sanity: 0 always belongs.
-        if self.violation(np.zeros(self.ambient_dim)) > 1e-12:
-            raise ValueError("cone rejects the origin")
 
     # -- membership ------------------------------------------------------
 
@@ -161,8 +160,9 @@ class Cone:
     def violation(self, x) -> float:
         """Nonnegative defect; 0 iff x lies in the cone."""
         x = self._check_vec(x)
-        if self.kind == "custom":
-            return float(self._violation_fn(x))
+        if self.kind == "section":
+            off = float(np.linalg.norm(x - self.projector @ x))
+            return max(off, self.base.violation(self.sign * x))
         if self.kind == "polyhedral":
             # scipy.optimize.nnls on a zero-column matrix aborts the whole
             # interpreter (a double free, seen with scipy 1.17.1), so the
@@ -189,10 +189,8 @@ class Cone:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one cone element."""
-        if self.kind == "custom":
-            if self._sampler is None:
-                raise ValueError("custom cone has no sampler")
-            return np.asarray(self._sampler(rng), dtype=float)
+        if self.kind == "section":
+            return self.sign * (self.projector @ self.base.sample(rng))
         if self.kind == "polyhedral":
             k = self.generators.shape[1]
             return self.generators @ np.abs(rng.normal(size=k))
@@ -228,7 +226,7 @@ class Cone:
         elif self.kind == "nonneg_poly":
             out = {"kind": "nonneg_poly", "n": int(self.n)}
         else:
-            raise ValueError("custom cones are not serializable")
+            raise ValueError("section cones are not serializable")
         if self._inject is not None:
             out["embedded"] = True
             out["inject"] = numkit.matrix_to_json(self._inject)
@@ -273,26 +271,13 @@ class Cone:
 
 
 def graded_parts(cone: Cone, grading) -> tuple[Cone, Cone]:
-    """Membership handles for C+ = C cap g^1 and C- = (-C) cap g^{-1}.
+    """Section cones C+ = C cap g^1 and C- = (-C) cap g^{-1}.
 
     Samplers project cone samples onto the graded pieces, which stay inside
     the graded cones because C is contained in C+ + g^0 + (-C-).
     """
-    p_plus = grading.p_plus
-    p_minus = grading.p_minus
-
-    def make(p, sign):
-        def violation(x):
-            off = float(np.linalg.norm(x - p @ x))
-            return max(off, cone.violation(sign * x))
-
-        def sampler(rng):
-            return sign * (p @ cone.sample(rng))
-
-        return Cone("custom", cone.ambient_dim, violation_fn=violation,
-                    sampler=sampler)
-
-    return make(p_plus, +1.0), make(p_minus, -1.0)
+    return (Cone("section", cone.ambient_dim, base=cone, projector=grading.p_plus, sign=1.0),
+            Cone("section", cone.ambient_dim, base=cone, projector=grading.p_minus, sign=-1.0))
 
 
 def invariance_check(cone: Cone, algebra, samples: int,

@@ -150,7 +150,8 @@ def member_decomposed(g: GroupElement, grading: Grading, cone: Cone,
     """Membership through the decomposition theorem: g factors in the open
     cell with x+ in C+ and x- in C-.  False when g is not in the cell.
 
-    parts may carry precomputed (C+, C-) handles to avoid rebuilding them."""
+    parts may carry the precomputed section cones (C+, C-) of graded_parts
+    to avoid rebuilding them."""
     try:
         f = triangular_factor(g, grading, "+0-", tol)
     except NotInOpenCell:
@@ -170,7 +171,7 @@ def polar_factor(g: GroupElement, grading: Grading,
     alg = g.algebra
     try:
         m = (sharp(g) @ g).matrix
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NotPolar(f"g is numerically singular: {exc}") from exc
     logm = numkit.logm_principal(m, tol)
     v, res = alg.try_coords(logm)

@@ -449,8 +449,12 @@ def _sl2_setting(**entries):
     (["monotone"], {"a": [[float("nan"), 0.0], [0.0, 1.0]], "b": np.eye(2).tolist()}),
     (["roots"], {"algebra": catalog.root_fixture("sl2")[0].to_json(),
                  "cartan": [[float("nan"), 1.0, -1.0]]}),
+    (["member", "--g", "[[2,1],[1,1]]"], _sl2_setting(cone={
+        "kind": "polyhedral", "generators": [[0.0, 1.0, float("nan")]]})),
+    (["member", "--g", "[[2,1],[1,1]]"], _sl2_setting(cone={
+        "kind": "polyhedral", "generators": [[0.0, 1.0, 0.0], [float("inf"), 0.0, 0.0]]})),
 ], ids=["x0_nan", "x0_inf", "x0_string", "x0_object", "x0_matrix", "h_nan",
-        "h_inf", "h_matrix", "a_nan", "cartan_nan"])
+        "h_inf", "h_matrix", "a_nan", "cartan_nan", "generators_nan", "generators_inf"])
 def test_malformed_values_are_usage_errors(capsys, tmp_path, argv, doc):
     if doc is not None:
         path = tmp_path / "doc.json"
@@ -463,10 +467,13 @@ def test_malformed_values_are_usage_errors(capsys, tmp_path, argv, doc):
 @pytest.mark.parametrize("demo,g", [
     ("sl2", "[[1,2],[2,4]]"),
     ("poincare3", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,0]]"),
-], ids=["sl2", "poincare3"])
+    ("sl2", "[[1e-310,0],[0,1]]"),  # the inverse overflows to inf
+    ("poincare3", "[[1e-310,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"),
+], ids=["sl2", "poincare3", "sl2_subnormal", "poincare3_subnormal"])
 def test_polar_singular_element_is_domain_error(capsys, demo, g):
     code, payload = run_json(capsys, "polar", "--demo", demo, "--g", g)
     assert code == 1 and payload["error"] == "NotPolar"
+    assert payload["detail"].startswith("g is numerically singular")
 
 
 # Every verb takes --json; beyond it, the flags each verb reads.
@@ -578,13 +585,15 @@ def test_extreme_valid_element_still_answers(capsys, verb):
     assert code == 0 and "error" not in payload
 
 
-# Overflow inside a verb is for the gates to judge; numpy's warnings about it
-# must not reach stderr.  pytest captures warnings apart from capsys, so they
-# are raised as errors here.
+# Overflow and NaN inside a verb are for the gates to judge; numpy's warnings
+# about them must not reach stderr.  pytest captures warnings apart from
+# capsys, so they are raised as errors here.
 @pytest.mark.parametrize("argv, code", [
     (["factor", "--demo", "sl2", "--g", _diag(1e160, 1e-160)], 0),
     (["member", "--demo", "poincare3", "--g", _diag(1e160, 1.0, 1.0, 1.0)], 1),
     (["member", "--demo", "sl2", "--g", _diag(1e160, 1e-160), "--tol", "0"], 1),
+    (["factor", "--demo", "sl2", "--g", _diag(1e-310, 1.0), "--order=-0+"], 1),
+    (["member", "--demo", "sl2", "--g", _diag(1e-310, 1.0)], 1),
 ])
 def test_overflow_warnings_stay_off_stderr(capsys, argv, code):
     with warnings.catch_warnings():

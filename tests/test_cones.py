@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -143,28 +144,30 @@ def test_cone_sampling_stays_inside(rng):
             assert c.violation(c.sample(rng)) <= 1e-10
 
 
-def test_custom_cone_requires_fn():
+def test_section_requires_base_and_projector():
     with pytest.raises(ValueError):
-        Cone("custom", 2)
+        Cone("section", 2)
+    with pytest.raises(ValueError):
+        Cone("section", 2, base=quadrant(), projector=np.eye(2))
+    with pytest.raises(AmbientMismatch):
+        Cone("section", 3, base=quadrant(), projector=np.eye(3), sign=1.0)
+    with pytest.raises(AmbientMismatch):
+        Cone("section", 2, base=quadrant(), projector=np.eye(3), sign=1.0)
     with pytest.raises(ValueError):
         Cone("bogus_kind", 2)
 
 
-def test_origin_rejecting_cone_fails_fast():
-    with pytest.raises(ValueError):
-        Cone("custom", 1, violation_fn=lambda x: 1.0)
-
-
-def test_serialization_roundtrip():
+def test_serialization_roundtrip(sl2):
     for c in (quadrant(), Cone("sl2_lorentz", 3), Cone("light_cone", 4, d=4),
               Cone("nonneg_poly", 6, n=2)):
         back = Cone.from_json(c.to_json())
         assert back.kind == c.kind
         assert back.ambient_dim == c.ambient_dim
     with pytest.raises(ValueError):
-        Cone.from_json({"kind": "custom"})
-    with pytest.raises(ValueError):
-        Cone("custom", 1, violation_fn=lambda x: 0.0).to_json()
+        Cone.from_json({"kind": "section"})
+    for part in graded_parts(sl2.cone, sl2.grading):
+        with pytest.raises(ValueError, match="not serializable"):
+            part.to_json()
 
 
 @pytest.mark.parametrize("doc", [{"kind": "light_cone"}, {"kind": "nonneg_poly"},
@@ -192,6 +195,44 @@ def test_graded_parts_sampler(sl2, rng):
     for _ in range(20):
         assert cp.violation(cp.sample(rng)) <= 1e-10
         assert cm.violation(cm.sample(rng)) <= 1e-10
+
+
+def _closure_parts(cone, grading):
+    """(violation, sample) pairs of C+ and C- as closures over the base cone,
+    the formulas the section kind keeps."""
+    def make(p, sign):
+        def violation(x):
+            off = float(np.linalg.norm(x - p @ x))
+            return max(off, cone.violation(sign * x))
+
+        def sample(rng):
+            return sign * (p @ cone.sample(rng))
+
+        return violation, sample
+
+    return make(grading.p_plus, +1.0), make(grading.p_minus, -1.0)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()  # -0.0 differs from 0.0
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_sections_match_closure_formulas_bit_for_bit(name):
+    entry = catalog.get_entry(name)
+    sections = (entry.cone_plus, entry.cone_minus)
+    closures = _closure_parts(entry.cone, entry.grading)
+    for section, (violation, sample) in zip(sections, closures):
+        assert section.kind == "section"
+        rng_s, rng_c = np.random.default_rng(7), np.random.default_rng(7)
+        drawn = [section.sample(rng_s) for _ in range(20)]
+        assert _bits(drawn) == _bits([sample(rng_c) for _ in range(20)])
+        points = drawn + list(np.random.default_rng(8).normal(size=(20, entry.algebra.dim)))
+        assert _bits([section.violation(x) for x in points]) == _bits(
+            [violation(x) for x in points])
+    back = pickle.loads(pickle.dumps(sections))
+    x = entry.cone_plus.sample(np.random.default_rng(9))
+    assert _bits([c.violation(x) for c in back]) == _bits([c.violation(x) for c in sections])
 
 
 def test_invariance_check_on_catalog(sl2, poincare3, rng):
