@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .cones import Cone, graded_parts, nonneg_poly_dim, poly_gram
 from .liealg import Grading, GroupElement, LieAlgebraSpec, grade_by
@@ -330,6 +329,7 @@ def direct_sum(fixtures) -> tuple:
     """Root fixture (algebra, cartan, tag) of the block-diagonal direct sum
     of root fixtures that share one tag: the bases sit in diagonal blocks
     and the Cartan rows in the matching coordinate blocks."""
+    from scipy.linalg import block_diag
     (tag,) = {f[2] for f in fixtures}
     algebras = [f[0] for f in fixtures]
     r = sum(a.rep_dim for a in algebras)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.optimize
 
 from . import numkit
 from .errors import AmbientMismatch
@@ -166,9 +165,11 @@ class Cone:
         if self.kind == "polyhedral":
             # scipy.optimize.nnls on a zero-column matrix aborts the whole
             # interpreter (a double free, seen with scipy 1.17.1), so the
-            # cone {0} is measured directly.
+            # cone {0} is measured directly.  scipy.optimize is imported
+            # here, so it loads only for polyhedral cones.
             if self.generators.shape[1] == 0:
                 return float(np.linalg.norm(x))
+            import scipy.optimize
             _, dist = scipy.optimize.nnls(self.generators, x)
             return float(dist)
         v, off = self._to_native(x)

@@ -9,7 +9,8 @@ or Tolerance.accepts (bool) against Tolerance.gate, which floors the data
 scale at 1; an infinite or NaN residual never passes.  The rank cutoff
 RANK_RTOL and the eigenvalue gap CLUSTER_GAP are fixed.  logm_principal owns
 a log's real part: a real matrix clear of the branch cut has a real
-principal log.
+principal log.  scipy.linalg is imported on first use, by expm, the Schur
+form or logm_principal, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchCutError, NotSelfAdjoint
 
@@ -145,6 +145,7 @@ def vector_from_json(d: dict) -> np.ndarray:
 
 def expm(a) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring)."""
+    import scipy.linalg
     return scipy.linalg.expm(require_finite(a))
 
 
@@ -180,6 +181,7 @@ def logm_principal(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     principal branch is ill-defined, or when the square roots overflow or do
     not reach the Pade region within _LOG_MAX_SQRTS steps.
     """
+    import scipy.linalg
     a = require_finite(a)
     t0, z = _schur(a)
     vals = np.diag(t0)
@@ -268,6 +270,7 @@ def clusters(vals, gap: float) -> list[np.ndarray]:
 
 def _schur(a):
     """Complex Schur form (t, z) of a, a = z t z^H."""
+    import scipy.linalg
     return scipy.linalg.schur(np.atleast_2d(a).astype(complex), output="complex")
 
 

@@ -367,6 +367,51 @@ def test_polar_of_a_large_element_writes_nothing_to_stderr():
     assert set(json.loads(proc.stdout)) == {"g0", "x"}
 
 
+# scipy loads where a computation first needs it: scipy.linalg with the
+# first Schur form or exponential, scipy.optimize with the first polyhedral
+# membership.  A fresh interpreter sees each step.
+_IMPORT_STEPS = """
+import contextlib, io, sys
+import numpy as np
+
+def loaded():
+    return {m for m in ("scipy", "scipy.linalg", "scipy.optimize")
+            if m in sys.modules}
+
+import grade3
+assert loaded() == set(), loaded()
+from grade3 import catalog, cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["modular", "--random", "4", "--seed", "1", "--json"]) == 0
+assert loaded() == set(), loaded()
+for name in catalog.ENTRY_NAMES:
+    catalog.get_entry(name)
+assert loaded() == {"scipy", "scipy.linalg"}, loaded()
+cone = catalog.get_entry("solvable").cone
+cone.violation(np.ones(cone.ambient_dim))
+assert "scipy.optimize" in loaded(), loaded()
+"""
+
+
+def test_scipy_loads_on_first_use():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_STEPS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# A verb that imports scipy on first use still writes nothing to stderr.
+@pytest.mark.parametrize("argv", [
+    ["demo", "solvable"],
+    ["roots", "--demo", "su2"],
+    ["modular", "--random", "4", "--seed", "1"],
+])
+def test_first_use_imports_write_nothing_to_stderr(argv):
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "grade3", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
+
+
 @pytest.mark.parametrize("name", ["poincare3", "jacobi1"])
 def test_member_file_with_embedded_demo_cone(capsys, tmp_path, name):
     # the setting `demo` prints, cone included, answers like --demo
