@@ -106,10 +106,23 @@ def _document(args):
     return None
 
 
+def _group_matrix(args, doc) -> np.ndarray:
+    """The matrix behind --g, else the document's 'g'."""
+    if args.g is not None:
+        return _array(args.g, "--g", 2)
+    if doc is not None and "g" in doc:
+        return _array(doc["g"], "file entry 'g'", 2)
+    raise UsageError("need a group element via --g or a 'g' file entry")
+
+
 def _load_setting(args, need_cone=False, need_g=False):
     """(grading, cone or None, g or None) from --demo or the --file document;
-    --g takes precedence over the document's 'g'."""
+    --g takes precedence over the document's 'g'.  With --demo the element
+    is read before the catalog entry is built, so a missing or malformed one
+    fails without the build; from --file it is read after the algebra and
+    cone, whose errors come first."""
     doc = _document(args)
+    m = _group_matrix(args, doc) if need_g and args.demo else None
     if args.demo:
         entry = catalog.get_entry(args.demo)
         algebra, grading, cone = entry.algebra, entry.grading, entry.cone
@@ -126,12 +139,8 @@ def _load_setting(args, need_cone=False, need_g=False):
         raise UsageError("membership needs a cone (catalog demo or 'cone' entry)")
     if not need_g:
         return grading, cone, None
-    if args.g is not None:
-        m = _array(args.g, "--g", 2)
-    elif doc is not None and "g" in doc:
-        m = _array(doc["g"], "file entry 'g'", 2)
-    else:
-        raise UsageError("need a group element via --g or a 'g' file entry")
+    if m is None:
+        m = _group_matrix(args, doc)
     return grading, cone, _parse("bad group element", GroupElement, algebra, m)
 
 

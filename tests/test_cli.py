@@ -399,6 +399,25 @@ def test_scipy_loads_on_first_use():
     assert proc.returncode == 0, proc.stderr
 
 
+# A missing group element is a usage error found before the catalog entry
+# is built, so the call never loads scipy.linalg.
+_MISSING_ELEMENT = """
+import sys
+from grade3 import cli
+code = cli.main([{verb!r}, "--demo", "poincare3"])
+assert "scipy.linalg" not in sys.modules, "the catalog entry was built"
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("verb", ["member", "factor", "polar"])
+def test_missing_element_is_reported_before_the_catalog_build(verb):
+    proc = subprocess.run([sys.executable, "-c", _MISSING_ELEMENT.format(verb=verb)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: need a group element via --g or a 'g' file entry\n")
+
+
 # A verb that imports scipy on first use still writes nothing to stderr.
 @pytest.mark.parametrize("argv", [
     ["demo", "solvable"],

@@ -6,6 +6,7 @@ these three brackets.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,58 @@ def test_adjoint_matrix_matches_ad_image(name, rng):
 def test_jacobi_defect_vanishes(sl2, poincare3, jacobi1):
     for entry in (sl2, poincare3, jacobi1):
         assert entry.algebra.jacobi_defect() < 1e-10
+
+
+def _jacobi_reference(c):
+    """[b_i, [b_j, b_k]] summed cyclically at every index triple, as one 4-D
+    einsum and its two cyclic transposes."""
+    t = np.einsum("jkm,imn->ijkn", c, c)
+    cyc = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
+    return float(np.abs(cyc).max())
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_jacobi_defect_matches_cyclic_sum_reference(name):
+    # the triples i < j < k in three pairings reproduce every ordering
+    alg = catalog.get_entry(name).algebra
+    assert alg.jacobi_defect() == _jacobi_reference(alg.structure_constants)
+
+
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+def test_jacobi_defect_of_a_non_lie_tensor(jacobi1, rng, integer):
+    # a random antisymmetric tensor breaks the Jacobi identity; integer
+    # entries keep every sum exact, so both routes agree to the bit
+    d = jacobi1.algebra.dim
+    x = rng.integers(-3, 4, size=(d, d, d)) if integer else rng.normal(size=(d, d, d))
+    alg = copy.copy(jacobi1.algebra)
+    alg.structure_constants = (x - x.transpose(1, 0, 2)).astype(float)
+    ref = _jacobi_reference(alg.structure_constants)
+    assert ref > 1.0
+    if integer:
+        assert alg.jacobi_defect() == ref
+    else:
+        assert alg.jacobi_defect() == pytest.approx(ref, rel=1e-12)
+
+
+def test_jacobi_defect_below_three_dimensions():
+    # no index triple i < j < k exists; the 2-dimensional algebra [h, e] = e
+    # is not abelian, yet its Jacobi sums vanish exactly
+    h = np.diag([1.0, 0.0])
+    e = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for basis in ([e], [h, e]):
+        assert LieAlgebraSpec("small", basis).jacobi_defect() == 0.0
+
+
+def test_jacobi_defect_peak_memory():
+    # one d^2 x d^2 product and the rows it reads: no further d^4 temporaries
+    alg = catalog.get_entry("jacobi3").algebra
+    tracemalloc.start()
+    try:
+        alg.jacobi_defect()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * alg.dim**4
 
 
 def test_ad_matrix(sl2):

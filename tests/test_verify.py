@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from grade3 import verify
 from grade3.errors import UnknownSuite
+from grade3.liealg import LieAlgebraSpec, grade_by
 
 
 def test_suite_names():
@@ -37,3 +39,31 @@ def test_deterministic_given_seed():
     a = verify.run_suite("modular", seed=9, samples=30)
     b = verify.run_suite("modular", seed=9, samples=30)
     assert a == b
+
+
+def _tau_bracket_reference(c, tau):
+    """max |tau [b_i, b_j] - [tau b_i, tau b_j]| over i < j, one pair at a time."""
+    eye = np.eye(len(c))
+    worst = 0.0
+    for i in range(len(c)):
+        for j in range(i + 1, len(c)):
+            lhs = tau @ np.einsum("i,j,ijk->k", eye[i], eye[j], c)
+            rhs = np.einsum("i,j,ijk->k", tau @ eye[i], tau @ eye[j], c)
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def test_tau_bracket_defect_with_non_diagonal_tau():
+    # Every catalog tau is diagonal, where a transposed index goes unseen.
+    # In the sheared sl2 basis (h + e, e + 2f, f - h) tau is far from it.
+    h = np.diag([0.5, -0.5])
+    e = np.array([[0.0, 1.0], [0.0, 0.0]])
+    alg = LieAlgebraSpec("sl2_sheared", [h + e, e + 2 * e.T, e.T - h])
+    tau = grade_by(alg, alg.coords(h)).tau
+    assert np.abs(tau - np.diag(np.diag(tau))).max() > 1.0
+    perturbed = tau + 1e-6 * np.random.default_rng(5).normal(size=tau.shape)
+    c = alg.structure_constants
+    for t, automorphism in ((tau, True), (tau.T, False), (perturbed, False)):
+        got = verify._tau_bracket_defect(c, t)
+        assert got == pytest.approx(_tau_bracket_reference(c, t), rel=1e-9, abs=1e-12)
+        assert (got <= 1e-10) == automorphism
