@@ -329,20 +329,21 @@ def direct_sum(fixtures) -> tuple:
     """Root fixture (algebra, cartan, tag) of the block-diagonal direct sum
     of root fixtures that share one tag: the bases sit in diagonal blocks
     and the Cartan rows in the matching coordinate blocks."""
-    from scipy.linalg import block_diag
     (tag,) = {f[2] for f in fixtures}
-    algebras = [f[0] for f in fixtures]
+    algebras, cartans = [f[0] for f in fixtures], [f[1] for f in fixtures]
     r = sum(a.rep_dim for a in algebras)
-    basis, offset = [], 0
-    for a in algebras:
+    cartan = np.zeros((sum(len(c) for c in cartans), sum(a.dim for a in algebras)))
+    basis, offset, row, col = [], 0, 0, 0
+    for a, c in zip(algebras, cartans):
         block = slice(offset, offset + a.rep_dim)
         for b in a.basis:
             z = np.zeros((r, r), dtype=complex)
             z[block, block] = b
             basis.append(z)
-        offset += a.rep_dim
+        cartan[row:row + len(c), col:col + a.dim] = c
+        offset, row, col = offset + a.rep_dim, row + len(c), col + a.dim
     name = "+".join(a.name for a in algebras)
-    return LieAlgebraSpec(name, basis), block_diag(*[f[1] for f in fixtures]), tag
+    return LieAlgebraSpec(name, basis), cartan, tag
 
 
 # -- registry ------------------------------------------------------------

@@ -197,17 +197,24 @@ def grade_by(algebra: LieAlgebraSpec, h) -> Grading:
     """3-grading of the algebra by ad(h) eigenvalues {-1, 0, +1}.
 
     The spectrum is clustered with the fixed structural gap
-    numkit.CLUSTER_GAP; projectors are the Lagrange polynomials of ad(h) at
-    the clustered eigenvalues, and the bracket compatibility [g^i, g^j] in
-    g^{i+j} is verified at the default tolerance before returning.
+    numkit.CLUSTER_GAP, and a value farther than that from {-1, 0, 1} is
+    refused, the farthest one reported; projectors are the Lagrange
+    polynomials of ad(h) at {-1, 0, 1}, and the bracket compatibility
+    [g^i, g^j] in g^{i+j} is verified at the default tolerance before
+    returning.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (algebra.dim,):
         raise ValueError("h must be a coefficient vector of the algebra")
     a = algebra.ad(h)
-    for z in numkit.eigvals_clustered(a):
-        if min(abs(z - t) for t in (-1.0, 0.0, 1.0)) > numkit.CLUSTER_GAP:
-            raise NotThreeGraded(f"ad(h) eigenvalue {z} not in {{-1, 0, 1}}")
+    vals = numkit.eigvals_clustered(a)
+    dist = np.abs(vals[:, None] - np.array([-1.0, 0.0, 1.0])).min(axis=1)
+    if dist.max() > numkit.CLUSTER_GAP:
+        # the farthest value names the refusal, ties going to the larger
+        # imaginary, then real part, so that no LAPACK order shows through
+        z = complex(vals[np.lexsort((vals.real, vals.imag, dist))[-1]])
+        raise NotThreeGraded(f"ad(h) eigenvalue {z} not in {{-1, 0, 1}}: distance "
+                             f"{dist.max():.3e} above gate {numkit.CLUSTER_GAP:.3e}")
     a2 = a @ a
     p_plus = (a2 + a) / 2.0
     p_minus = (a2 - a) / 2.0

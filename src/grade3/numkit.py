@@ -9,8 +9,9 @@ or Tolerance.accepts (bool) against Tolerance.gate, which floors the data
 scale at 1; an infinite or NaN residual never passes.  The rank cutoff
 RANK_RTOL and the eigenvalue gap CLUSTER_GAP are fixed.  logm_principal owns
 a log's real part: a real matrix clear of the branch cut has a real
-principal log.  scipy.linalg is imported on first use, by expm, the Schur
-form or logm_principal, so importing this module does not load it.
+principal log.  scipy.linalg is imported on first use, by expm and
+logm_principal only, so importing this module or clustering a spectrum does
+not load it.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def logm_principal(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     import scipy.linalg
     a = require_finite(a)
-    t0, z = _schur(a)
+    t0, z = scipy.linalg.schur(np.atleast_2d(a).astype(complex), output="complex")
     vals = np.diag(t0)
     if not np.iscomplexobj(a):
         # a real spectrum is closed under conjugation: mirroring it merges a
@@ -268,12 +269,6 @@ def clusters(vals, gap: float) -> list[np.ndarray]:
     return runs
 
 
-def _schur(a):
-    """Complex Schur form (t, z) of a, a = z t z^H."""
-    import scipy.linalg
-    return scipy.linalg.schur(np.atleast_2d(a).astype(complex), output="complex")
-
-
 def _merge_clusters(vals) -> np.ndarray:
     """vals with each CLUSTER_GAP run of clusters() merged onto its mean."""
     out = vals.copy()
@@ -283,10 +278,10 @@ def _merge_clusters(vals) -> np.ndarray:
 
 
 def eigvals_clustered(a) -> np.ndarray:
-    """Eigenvalues of a via the (complex) Schur form, with values closer than
-    CLUSTER_GAP merged onto their mean.  Robust for the non-normal matrices
-    produced by adjoint actions in non-orthogonal bases."""
-    return _merge_clusters(np.diag(_schur(a)[0]))
+    """Eigenvalues of a from numpy's LAPACK geev (so no scipy is loaded),
+    with values closer than CLUSTER_GAP merged onto their mean.  A real a
+    gives exact conjugate pairs, and a real array when every value is real."""
+    return _merge_clusters(np.linalg.eigvals(a))
 
 
 # 15-point Gauss-Legendre rule used by the adaptive quadrature.

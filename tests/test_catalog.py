@@ -6,6 +6,7 @@ the constant 1 and q^2 land in C+, while -p^2 lands in C-.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from grade3 import catalog, semigroup
 from grade3.liealg import GroupElement, ad_image
@@ -187,3 +188,15 @@ def test_tau_compatible_across_entries(rng):
         lhs = tau_group(GroupElement.exp(entry.algebra, x)).matrix
         rhs = GroupElement.exp(entry.algebra, entry.grading.tau @ x).matrix
         np.testing.assert_allclose(lhs, rhs, atol=1e-8, err_msg=name)
+
+
+def test_direct_sum_cartan_is_block_diagonal(rng):
+    # the sl2+sl2 fixture, and blocks of unequal shapes over two algebras
+    su2, poincare3 = catalog.build_su2(), catalog.get_entry("poincare3").algebra
+    mixed = [(alg, rng.normal(size=(k, alg.dim)), "any")
+             for alg, k in ((su2, 2), (poincare3, 1), (su2, 3))]
+    for parts in ([catalog.root_fixture("sl2")] * 2, mixed):
+        algebra, cartan, tag = catalog.direct_sum(parts)
+        expected = scipy.linalg.block_diag(*[f[1] for f in parts])
+        assert cartan.dtype == expected.dtype and cartan.tobytes() == expected.tobytes()
+        assert cartan.shape[1] == algebra.dim and tag == parts[0][2]

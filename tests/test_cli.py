@@ -368,8 +368,9 @@ def test_polar_of_a_large_element_writes_nothing_to_stderr():
 
 
 # scipy loads where a computation first needs it: scipy.linalg with the
-# first Schur form or exponential, scipy.optimize with the first polyhedral
-# membership.  A fresh interpreter sees each step.
+# first exponential or log, scipy.optimize with the first polyhedral
+# membership.  Catalog builds and the grade, member and roots verbs need
+# neither.  A fresh interpreter sees each step.
 _IMPORT_STEPS = """
 import contextlib, io, sys
 import numpy as np
@@ -378,14 +379,24 @@ def loaded():
     return {m for m in ("scipy", "scipy.linalg", "scipy.optimize")
             if m in sys.modules}
 
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
 import grade3
 assert loaded() == set(), loaded()
 from grade3 import catalog, cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["modular", "--random", "4", "--seed", "1", "--json"]) == 0
+run("modular", "--random", "4", "--seed", "1", "--json")
 assert loaded() == set(), loaded()
 for name in catalog.ENTRY_NAMES:
     catalog.get_entry(name)
+assert loaded() == set(), loaded()
+run("grade", "--demo", "jacobi3")
+run("member", "--demo", "sl2", "--g", "[[2,1],[1,1]]")
+for name in catalog.ROOT_FIXTURE_NAMES:
+    run("roots", "--demo", name)
+assert loaded() == set(), loaded()
+run("factor", "--demo", "sl2", "--g", "[[2,1],[1,1]]")
 assert loaded() == {"scipy", "scipy.linalg"}, loaded()
 cone = catalog.get_entry("solvable").cone
 cone.violation(np.ones(cone.ambient_dim))
@@ -400,12 +411,12 @@ def test_scipy_loads_on_first_use():
 
 
 # A missing group element is a usage error found before the catalog entry
-# is built, so the call never loads scipy.linalg.
+# is built, so the call leaves the entry cache empty.
 _MISSING_ELEMENT = """
 import sys
-from grade3 import cli
+from grade3 import catalog, cli
 code = cli.main([{verb!r}, "--demo", "poincare3"])
-assert "scipy.linalg" not in sys.modules, "the catalog entry was built"
+assert catalog.get_entry.cache_info().currsize == 0, "the catalog entry was built"
 sys.exit(code)
 """
 
@@ -422,6 +433,8 @@ def test_missing_element_is_reported_before_the_catalog_build(verb):
 @pytest.mark.parametrize("argv", [
     ["demo", "solvable"],
     ["roots", "--demo", "su2"],
+    ["roots", "--demo", "sl2+sl2"],
+    ["grade", "--demo", "jacobi3"],
     ["modular", "--random", "4", "--seed", "1"],
 ])
 def test_first_use_imports_write_nothing_to_stderr(argv):

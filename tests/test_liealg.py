@@ -10,8 +10,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from grade3 import catalog
+from grade3 import catalog, numkit
 from grade3.errors import (
     AdjointOutOfSpan,
     NoTauImplementation,
@@ -292,3 +293,79 @@ def test_grade_by_rejects_bracket_leaving_its_degree(sl2):
     np.testing.assert_array_equal(alg.ad(sl2.h), sl2.algebra.ad(sl2.h))
     with pytest.raises(NotThreeGraded, match=r"leaves g\^0"):
         grade_by(alg, sl2.h)
+
+
+def test_spectrum_refusal_reports_the_farthest_eigenvalue(sl2, rng):
+    alg = sl2.algebra
+    for _ in range(20):
+        h = rng.normal(size=3)
+        vals = numkit.eigvals_clustered(alg.ad(h))
+        dist = np.abs(vals[:, None] - np.array([-1.0, 0.0, 1.0])).min(axis=1)
+        with pytest.raises(NotThreeGraded, match="eigenvalue") as info:
+            grade_by(alg, h)
+        msg = str(info.value)
+        z = complex(msg.split("eigenvalue ")[1].split(" not in")[0])
+        # the farthest value; of a tie (a conjugate or a +-pair) the upper,
+        # then the right one
+        far = vals[dist == dist.max()]
+        assert z == max(far, key=lambda v: (v.imag, v.real))
+        assert msg.endswith(f"distance {dist.max():.3e} above gate 1.000e-08")
+
+
+# -- the spectrum gate against the former Schur eigenvalues ------------------
+
+def _schur_eigvals(a):
+    """grade_by's former spectrum: the complex Schur diagonal, clustered."""
+    t = scipy.linalg.schur(np.atleast_2d(a).astype(complex), output="complex")[0]
+    return numkit._merge_clusters(np.diag(t))
+
+
+_GATES = ("eigenvalue", "semisimple", "leaves", "ambiguous")
+
+
+def _bits(g):
+    return g.p_minus.tobytes(), g.p_zero.tobytes(), g.p_plus.tobytes(), g.tau.tobytes(), g.dims
+
+
+def _verdict(alg, h):
+    """(the deciding gate, None) or ("accepted", the grading's bits)."""
+    try:
+        return "accepted", _bits(grade_by(alg, h))
+    except NotThreeGraded as exc:
+        return next(gate for gate in _GATES if gate in str(exc)), None
+
+
+def _both_verdicts(monkeypatch, alg, h):
+    ours = _verdict(alg, h)
+    with monkeypatch.context() as m:
+        m.setattr(numkit, "eigvals_clustered", _schur_eigvals)
+        return ours, _verdict(alg, h)
+
+
+def test_spectrum_gate_census_matches_schur(monkeypatch):
+    # noisy, scaled and random h and the eigenbases of g^{+-1}: same verdict,
+    # same deciding gate and bit-identical projectors under both spectra
+    rng = np.random.default_rng(0)
+    seen = set()
+    for name in catalog.ENTRY_NAMES:
+        entry = catalog.get_entry(name)
+        alg, h, grading = entry.algebra, entry.h, entry.grading
+        built = ("accepted", _bits(grading))
+        assert _both_verdicts(monkeypatch, alg, h) == (built, built)
+        hs = [h + eps * rng.normal(size=alg.dim)
+              for eps in (1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3) for _ in range(2)]
+        hs += [s * h for s in (1 + 1e-9, 1 - 1e-7, 0.5, 2.0, -1.0)]
+        hs += list(rng.normal(size=(2, alg.dim)))
+        hs += [u for d in (-1, 1) for u in grading.eigenbasis(d).T]
+        for x in hs:
+            ours, ref = _both_verdicts(monkeypatch, alg, x)
+            assert ours == ref, (name, x)
+            seen.add(ours[0])
+        # ad(x) of a random x in g^{+-1} is nilpotent with Jordan blocks of
+        # size 3, so its computed eigenvalues scatter to about u^{1/3}|x| and
+        # the spectrum and semisimplicity gates both refuse it, the first one
+        # on some draws under one spectrum and not the other
+        for d in (-1, 1):
+            ours, ref = _both_verdicts(monkeypatch, alg, grading.part(rng.normal(size=alg.dim), d))
+            assert {ours[0], ref[0]} <= {"eigenvalue", "semisimple"}, name
+    assert seen == {"accepted", "eigenvalue", "semisimple", "leaves"}
