@@ -1,21 +1,25 @@
 """Convex cones in Lie algebra coordinate spaces.
 
-Supported kinds: finitely generated (polyhedral), the sl2 Lorentz-type cone,
-the forward light cone, nonnegative polynomials of degree <= 2, and graded
-sections: the points of a projector's range whose signed copy lies in a base
-cone (the C+ and C- of graded_parts).  Analytic kinds may be embedded into a
-larger ambient space through a linear injection; membership then also
-requires the off-subspace component to vanish within tolerance.  The coefficient order of degree-<=2
-polynomials is defined here once (_quad_index); the Jacobi chart in catalog
-reads it through poly_gram.
+Native kinds, each with a closed-form violation and sampler: finitely
+generated (polyhedral), the sl2 Lorentz-type cone, the forward light cone and
+nonnegative polynomials of degree <= 2.  Every other cone is a view of a base
+cone through linear maps (to_base, from_base, sign): the set of x with
+x = sign * from_base(to_base x) and to_base x in the base.  An analytic kind
+embedded through an injection J is the view (pinv J, J, 1) of its native
+cone; a graded section C+ or C- (graded_parts) is the view (sign, P, sign) of
+C through the projector P onto g^{+1} or g^{-1}.  The coefficient order of
+degree-<=2 polynomials is defined here once (_quad_index); the Jacobi chart
+in catalog reads it through poly_gram.
 
 Membership is always one-sided: a point belongs to the cone when its
-violation (a nonnegative defect measure) is at most tol.value.
+violation (a nonnegative defect measure) is at most tol.value.  A point with
+a NaN or infinite entry lies in no cone: its violation is inf.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -91,7 +95,8 @@ class Cone:
 
     violation(x) is 0 exactly on the cone (up to floating point); contains()
     compares it against tol.value.  sample() draws cone points through the
-    kind's closed-form sampler.
+    kind's closed-form sampler, or for a view through its base's.  A view has
+    a base cone; a native cone has base None.
     """
 
     def __init__(self, kind: str, ambient_dim: int, *, generators=None, d=None,
@@ -102,8 +107,7 @@ class Cone:
         self.ambient_dim = int(ambient_dim)
         self.d = d
         self.n = n
-        self.base, self.projector, self.sign = base, projector, sign
-        self.generators = self._inject = self._project = None
+        self.generators = self.base = self.to_base = self.from_base = self.sign = None
 
         if kind == "polyhedral":
             if generators is None:
@@ -117,8 +121,11 @@ class Cone:
         elif kind == "section":
             if base is None or projector is None or sign is None:
                 raise ValueError("section needs a base cone, a projector and a sign")
+            if sign not in (1.0, -1.0):  # the view rule needs sign * sign = 1
+                raise ValueError(f"section sign must be 1 or -1, not {sign!r}")
             if (base.ambient_dim, *np.shape(projector)) != (self.ambient_dim,) * 3:
                 raise AmbientMismatch("section does not match ambient dimension")
+            self.base, self.to_base, self.from_base, self.sign = base, sign, projector, sign
         else:
             if kind == "sl2_lorentz":
                 native_dim = 3
@@ -131,37 +138,31 @@ class Cone:
                     raise ValueError("nonneg_poly needs n >= 1")
                 native_dim = nonneg_poly_dim(n)
             if inject is not None:
-                inject = np.asarray(inject, dtype=float)
+                if np.iscomplexobj(inject):
+                    raise ValueError("inject matrix must be real")
+                inject = numkit.require_finite(np.asarray(inject, dtype=float), "inject")
                 if inject.shape != (self.ambient_dim, native_dim):
                     raise AmbientMismatch("inject matrix has wrong shape")
-                self._inject = inject
-                self._project = np.linalg.pinv(inject)
+                self.base = Cone(kind, native_dim, d=d, n=n)
+                self.to_base, self.from_base, self.sign = np.linalg.pinv(inject), inject, 1.0
             elif self.ambient_dim != native_dim:
                 raise AmbientMismatch("ambient dimension does not match the cone's native space")
 
     # -- membership ------------------------------------------------------
 
-    def _check_vec(self, x) -> np.ndarray:
+    def violation(self, x) -> float:
+        """Nonnegative defect; 0 iff x lies in the cone, inf if x is not finite."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient_dim,):
             raise AmbientMismatch(
                 f"vector of length {x.shape} in ambient of dim {self.ambient_dim}"
             )
-        return x
-
-    def _to_native(self, x):
-        """(native coords, off-subspace defect)."""
-        if self._inject is None:
-            return x, 0.0
-        v = self._project @ x
-        return v, float(np.linalg.norm(self._inject @ v - x))
-
-    def violation(self, x) -> float:
-        """Nonnegative defect; 0 iff x lies in the cone."""
-        x = self._check_vec(x)
-        if self.kind == "section":
-            off = float(np.linalg.norm(x - self.projector @ x))
-            return max(off, self.base.violation(self.sign * x))
+        if not np.isfinite(x).all():
+            return math.inf
+        if self.base is not None:
+            v = np.dot(self.to_base, x)  # a matrix, or a section's scalar sign
+            off = float(np.linalg.norm(self.sign * (self.from_base @ v) - x))
+            return max(off, self.base.violation(v))
         if self.kind == "polyhedral":
             # scipy.optimize.nnls on a zero-column matrix aborts the whole
             # interpreter (a double free, seen with scipy 1.17.1), so the
@@ -172,16 +173,13 @@ class Cone:
             import scipy.optimize
             _, dist = scipy.optimize.nnls(self.generators, x)
             return float(dist)
-        v, off = self._to_native(x)
         if self.kind == "light_cone":
-            body = max(0.0, float(np.linalg.norm(v[1:]) - v[0]))
-        elif self.kind == "sl2_lorentz":
-            a, b, c = v[0] / 2.0, v[1], v[2]
-            body = max(0.0, -b, c, a * a + b * c)
-        else:  # nonneg_poly
-            m = poly_gram(v, self.n)
-            body = max(0.0, -float(np.linalg.eigvalsh(m).min()))
-        return float(max(body, off))
+            return max(0.0, float(np.linalg.norm(x[1:]) - x[0]))
+        if self.kind == "sl2_lorentz":
+            a, b, c = x[0] / 2.0, x[1], x[2]
+            return float(max(0.0, -b, c, a * a + b * c))
+        # nonneg_poly
+        return max(0.0, -float(np.linalg.eigvalsh(poly_gram(x, self.n)).min()))
 
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.violation(x) <= tol.value
@@ -190,8 +188,8 @@ class Cone:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one cone element."""
-        if self.kind == "section":
-            return self.sign * (self.projector @ self.base.sample(rng))
+        if self.base is not None:
+            return self.sign * (self.from_base @ self.base.sample(rng))
         if self.kind == "polyhedral":
             k = self.generators.shape[1]
             return self.generators @ np.abs(rng.normal(size=k))
@@ -201,37 +199,32 @@ class Cone:
             nrm = np.linalg.norm(direction)
             if nrm > 0:
                 direction = direction / nrm * (x0 * rng.uniform())
-            v = np.concatenate([[x0], direction])
-        elif self.kind == "sl2_lorentz":
+            return np.concatenate([[x0], direction])
+        if self.kind == "sl2_lorentz":
             b = abs(rng.normal())
             c = -abs(rng.normal())
             a = rng.uniform(-1.0, 1.0) * np.sqrt(b * -c)
-            v = np.array([2.0 * a, b, c])
-        else:  # nonneg_poly
-            g = rng.normal(size=(self.n + 1, self.n + 1))
-            v = gram_to_poly(g.T @ g)
-        if self._inject is not None:
-            return self._inject @ v
-        return v
+            return np.array([2.0 * a, b, c])
+        # nonneg_poly
+        g = rng.normal(size=(self.n + 1, self.n + 1))
+        return gram_to_poly(g.T @ g)
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind == "polyhedral":
-            out = {"kind": "polyhedral",
-                   "generators": [[float(v) for v in col] for col in self.generators.T]}
-        elif self.kind == "sl2_lorentz":
-            out = {"kind": "sl2_lorentz"}
-        elif self.kind == "light_cone":
-            out = {"kind": "light_cone", "d": int(self.d)}
-        elif self.kind == "nonneg_poly":
-            out = {"kind": "nonneg_poly", "n": int(self.n)}
-        else:
+        if self.kind == "section":
             raise ValueError("section cones are not serializable")
-        if self._inject is not None:
-            out["embedded"] = True
-            out["inject"] = numkit.matrix_to_json(self._inject)
-        return out
+        if self.base is not None:  # embedded: the native document and its injection
+            return {**self.base.to_json(), "embedded": True,
+                    "inject": numkit.matrix_to_json(self.from_base)}
+        if self.kind == "polyhedral":
+            return {"kind": "polyhedral",
+                    "generators": [[float(v) for v in col] for col in self.generators.T]}
+        if self.kind == "sl2_lorentz":
+            return {"kind": "sl2_lorentz"}
+        if self.kind == "light_cone":
+            return {"kind": "light_cone", "d": int(self.d)}
+        return {"kind": "nonneg_poly", "n": int(self.n)}
 
     @classmethod
     def from_json(cls, d: dict, ambient_dim: int | None = None) -> "Cone":

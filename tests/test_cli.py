@@ -472,6 +472,21 @@ def test_embedded_cone_without_injection_is_usage_error(capsys, tmp_path):
     assert code == 2 and out == "" and "inject" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_embedded_cone_with_complex_injection_is_usage_error(capsys, tmp_path):
+    # a matrix object may carry "im"; the imaginary part is not dropped
+    entry = catalog.get_entry("poincare3")
+    cone = entry.cone.to_json()
+    cone["inject"]["im"] = [0.5] * len(cone["inject"]["re"])
+    doc = {"algebra": entry.algebra.to_json(), "h": [float(v) for v in entry.h],
+           "cone": cone}
+    path = tmp_path / "complex_inject.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "member", "--file", str(path),
+                             "--g", json.dumps(np.eye(4).tolist()))
+    assert code == 2 and out == "" and "inject" in err
+
+
 @pytest.mark.parametrize("verb", ["member", "factor", "polar"])
 def test_file_is_read_once(capsys, tmp_path, monkeypatch, verb):
     entry = catalog.get_entry("sl2")

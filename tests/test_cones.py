@@ -1,10 +1,12 @@
 import json
+import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
-from grade3 import catalog
+from grade3 import catalog, numkit
 from grade3.cones import (
     Cone,
     gram_to_poly,
@@ -157,6 +159,47 @@ def test_section_requires_base_and_projector():
         Cone("bogus_kind", 2)
 
 
+@pytest.mark.parametrize("sign", [2.0, 0.0, -0.5, math.nan])
+def test_section_sign_is_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match="sign"):
+        Cone("section", 2, base=quadrant(), projector=np.eye(2), sign=sign)
+
+
+@pytest.mark.parametrize("bad", ["complex", "nan", "inf"])
+def test_inject_must_be_real_and_finite(bad):
+    inject = np.eye(4)[:, :3]
+    if bad == "complex":
+        inject = inject + 1j * np.eye(4)[:, :3]
+    else:
+        inject[1, 0] = float(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="inject"):
+            Cone("light_cone", 4, d=3, inject=inject)
+
+
+def _non_finite_cases():
+    """Every native kind, an embedded cone and both sections over a native
+    and an embedded cone."""
+    solvable, poincare3 = catalog.get_entry("solvable"), catalog.get_entry("poincare3")
+    return [quadrant(), Cone("polyhedral", 3), Cone("sl2_lorentz", 3),
+            Cone("light_cone", 3, d=3), Cone("nonneg_poly", 3, n=1),
+            poincare3.cone, catalog.get_entry("jacobi1").cone,
+            solvable.cone_plus, solvable.cone_minus,
+            poincare3.cone_plus, poincare3.cone_minus]
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_is_in_no_cone(entry):
+    for cone in _non_finite_cases():
+        for points in ([entry] + [0.0] * (cone.ambient_dim - 1),
+                       [entry, entry] + [0.0] * (cone.ambient_dim - 2)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cone.violation(points) == math.inf, (cone, points)
+                assert not cone.contains(points)
+
+
 def test_serialization_roundtrip(sl2):
     for c in (quadrant(), Cone("sl2_lorentz", 3), Cone("light_cone", 4, d=4),
               Cone("nonneg_poly", 6, n=2)):
@@ -233,6 +276,56 @@ def test_sections_match_closure_formulas_bit_for_bit(name):
     back = pickle.loads(pickle.dumps(sections))
     x = entry.cone_plus.sample(np.random.default_rng(9))
     assert _bits([c.violation(x) for c in back]) == _bits([c.violation(x) for c in sections])
+
+
+def _closure_embedded(cone):
+    """(violation, sample) of an embedded cone as closures over its native
+    cone and its injection J, read back from the cone's JSON document: the
+    formulas the embedded path keeps."""
+    doc = cone.to_json()
+    inject = numkit.matrix_from_json(doc.pop("inject"))
+    del doc["embedded"]
+    native, project = Cone.from_json(doc), np.linalg.pinv(inject)
+
+    def violation(x):
+        v = project @ x
+        off = float(np.linalg.norm(inject @ v - x))
+        return float(max(native.violation(v), off))
+
+    def sample(rng):
+        return inject @ native.sample(rng)
+
+    return violation, sample
+
+
+EMBEDDED = ("poincare3", "poincare4", "poincare5", "poincare6",
+            "jacobi1", "jacobi2", "jacobi3")
+
+
+@pytest.mark.parametrize("name", EMBEDDED)
+def test_embedded_cones_match_closure_formulas_bit_for_bit(name):
+    entry = catalog.get_entry(name)
+    cone = entry.cone
+    assert cone.to_json()["embedded"] is True
+    violation, sample = _closure_embedded(cone)
+    rng_e, rng_c = np.random.default_rng(7), np.random.default_rng(7)
+    drawn = [cone.sample(rng_e) for _ in range(20)]
+    assert _bits(drawn) == _bits([sample(rng_c) for _ in range(20)])
+    points = drawn + list(np.random.default_rng(8).normal(size=(20, entry.algebra.dim)))
+    assert _bits([cone.violation(x) for x in points]) == _bits([violation(x) for x in points])
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_catalog_cone_pickle_roundtrip(name):
+    cone = catalog.get_entry(name).cone
+    back = pickle.loads(pickle.dumps(cone))
+    assert (back.kind, back.ambient_dim, back.to_json()) == (
+        cone.kind, cone.ambient_dim, cone.to_json())
+    drawn = [c.sample(np.random.default_rng(7)) for c in (cone, back)]
+    assert _bits(drawn[0]) == _bits(drawn[1])
+    points = [drawn[0], -drawn[0], np.random.default_rng(8).normal(size=cone.ambient_dim)]
+    assert _bits([back.violation(x) for x in points]) == _bits(
+        [cone.violation(x) for x in points])
 
 
 def test_invariance_check_on_catalog(sl2, poincare3, rng):
