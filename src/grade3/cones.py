@@ -13,7 +13,11 @@ in catalog reads it through poly_gram.
 
 Membership is always one-sided: a point belongs to the cone when its
 violation (a nonnegative defect measure) is at most tol.value.  A point with
-a NaN or infinite entry lies in no cone: its violation is inf.
+a NaN or infinite entry lies in no cone: its violation is inf.  The light
+cone's norm and a view's off-view norm fall back to max scaling where the
+plain norm overflows, so a finite point far out keeps a finite violation,
+unless a view's own image of it overflows (near the float limit through a
+map of gain above 1), which reads inf.
 """
 
 from __future__ import annotations
@@ -38,6 +42,18 @@ __all__ = [
 ]
 
 _KINDS = ("polyhedral", "sl2_lorentz", "light_cone", "nonneg_poly", "section")
+
+
+def _norm(v) -> float:
+    """Euclidean norm of v with no overflow warning: the plain norm where it
+    is finite, else the max-scaled one, or inf where v itself is not finite
+    (a view's residual that overflowed)."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if n < math.inf:
+        return n
+    s = float(np.abs(v).max())
+    return s * float(np.linalg.norm(v / s)) if s < math.inf else math.inf
 
 
 def nonneg_poly_dim(n: int) -> int:
@@ -161,7 +177,7 @@ class Cone:
             return math.inf
         if self.base is not None:
             v = np.dot(self.to_base, x)  # a matrix, or a section's scalar sign
-            off = float(np.linalg.norm(self.sign * (self.from_base @ v) - x))
+            off = _norm(self.sign * (self.from_base @ v) - x)
             return max(off, self.base.violation(v))
         if self.kind == "polyhedral":
             # scipy.optimize.nnls on a zero-column matrix aborts the whole
@@ -174,7 +190,7 @@ class Cone:
             _, dist = scipy.optimize.nnls(self.generators, x)
             return float(dist)
         if self.kind == "light_cone":
-            return max(0.0, float(np.linalg.norm(x[1:]) - x[0]))
+            return max(0.0, _norm(x[1:]) - float(x[0]))
         if self.kind == "sl2_lorentz":
             a, b, c = x[0] / 2.0, x[1], x[2]
             return float(max(0.0, -b, c, a * a + b * c))

@@ -9,6 +9,8 @@ spectral projector polynomials after the spectrum has been clustered.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import numkit
@@ -60,7 +62,7 @@ class LieAlgebraSpec:
         # Real stacked basis (re over im), one column per basis element.
         flat = self.basis.reshape(self.dim, r * r).T
         self._bstack = np.vstack([flat.real, flat.imag])
-        if numkit.null_space(self._bstack).shape[1]:
+        if numkit.nullity(self._bstack):
             raise ValueError("basis matrices are linearly dependent")
         self._pinv = np.linalg.pinv(self._bstack)
         self._basis_scale = max(1.0, float(np.abs(self.basis).max()))
@@ -74,6 +76,12 @@ class LieAlgebraSpec:
         self._ad_tensor = np.ascontiguousarray(
             np.transpose(self.structure_constants, (0, 2, 1))
         )  # _ad_tensor[i, k, j] so ad(x) = einsum('i,ikj->kj')
+
+    @functools.cached_property
+    def _tau_inverse(self) -> np.ndarray:
+        """Inverse of tau_matrix, computed on first use; a singular tau
+        raises LinAlgError at every use."""
+        return np.linalg.inv(self.tau_matrix)
 
     def to_matrix(self, x) -> np.ndarray:
         """Representing matrix of the coefficient vector x."""
@@ -158,7 +166,8 @@ class LieAlgebraSpec:
 
 class Grading:
     """Spectral data of a 3-grading: projectors onto the ad(h) eigenspaces
-    for eigenvalues -1, 0, +1 and the induced involution tau = P0 - P- - P+."""
+    for eigenvalues -1, 0, +1 and the induced involution tau = P0 - P- - P+.
+    The representing matrix of h is built on first use and then kept."""
 
     def __init__(self, algebra: LieAlgebraSpec, h, p_minus, p_zero, p_plus):
         self.algebra = algebra
@@ -173,6 +182,10 @@ class Grading:
             int(round(np.trace(p_plus).real)),
         )
         self._bases = {}
+
+    @functools.cached_property
+    def h_matrix(self) -> np.ndarray:
+        return self.algebra.to_matrix(self.h)
 
     def projector(self, degree: int) -> np.ndarray:
         return {-1: self.p_minus, 0: self.p_zero, 1: self.p_plus}[degree]
@@ -244,7 +257,8 @@ def grade_by(algebra: LieAlgebraSpec, h) -> Grading:
 
 
 class GroupElement:
-    """Invertible matrix in the representation carrying the algebra."""
+    """Invertible matrix in the representation carrying the algebra: a
+    finite matrix of the representation's shape."""
 
     def __init__(self, algebra: LieAlgebraSpec, matrix):
         self.algebra = algebra
@@ -266,6 +280,7 @@ class GroupElement:
         return self._inv
 
     def inverse(self) -> "GroupElement":
+        """g^{-1}, holding g's matrix as its inverse."""
         out = GroupElement(self.algebra, self.inv_matrix)
         out._inv = self.matrix
         return out
@@ -279,17 +294,19 @@ class GroupElement:
         return f"GroupElement({self.algebra.name}, {self.matrix.tolist()})"
 
 
-def _conjugate_coords(g: GroupElement, xm, x_scale: float, tol: Tolerance,
-                      what: str) -> np.ndarray:
+def _conjugate_coords(g: GroupElement, xm, tol: Tolerance, what: str,
+                      x_scale: float | None = None) -> np.ndarray:
     """Coefficients of g X g^{-1} for one matrix X or a stack of them; raises
     AdjointOutOfSpan when the worst residual exceeds the gate at scale
     ||g|| x_scale ||g^{-1}||, the size roundoff actually reaches when the
-    conjugation cancels."""
+    conjugation cancels.  x_scale defaults to the Frobenius norm of X."""
     v, res = g.algebra.try_coords(g.matrix @ xm @ g.inv_matrix)
     worst = res.max() if res.ndim else float(res)
     # The gate floors its scale at 1, so a residual within the gate at
     # scale 1 passes at any scale without the norms; NaN falls through.
     if not worst <= tol.gate():
+        if x_scale is None:
+            x_scale = np.linalg.norm(xm)
         scale = float(np.linalg.norm(g.matrix) * x_scale * np.linalg.norm(g.inv_matrix))
         tol.check(worst, scale, AdjointOutOfSpan, what)
     return v
@@ -297,15 +314,18 @@ def _conjugate_coords(g: GroupElement, xm, x_scale: float, tol: Tolerance,
 
 def ad_image(g: GroupElement, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Coefficients of Ad(g) x = g X g^{-1}; raises AdjointOutOfSpan when the
-    conjugate leaves the basis span."""
-    xm = g.algebra.to_matrix(x)
-    return _conjugate_coords(g, xm, np.linalg.norm(xm), tol, "Ad(g)x")
+    conjugate leaves the basis span.  x is a coefficient vector, or a
+    Grading, which stands for its h: the semigroup tests conjugate the same
+    h on every call, so they pass the grading and use the matrix it holds
+    instead of rebuilding it from the vector."""
+    xm = x.h_matrix if isinstance(x, Grading) else g.algebra.to_matrix(x)
+    return _conjugate_coords(g, xm, tol, "Ad(g)x")
 
 
 def adjoint(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Matrix of Ad(g) on coefficient vectors."""
     alg = g.algebra
-    return _conjugate_coords(g, alg.basis, alg._basis_scale, tol, "Ad(g)").T
+    return _conjugate_coords(g, alg.basis, tol, "Ad(g)", alg._basis_scale).T
 
 
 def tau_group(g: GroupElement) -> GroupElement:
@@ -314,7 +334,7 @@ def tau_group(g: GroupElement) -> GroupElement:
     t = alg.tau_matrix
     if t is None:
         raise NoTauImplementation(f"algebra {alg.name} has no tau matrix")
-    return GroupElement(alg, t @ g.matrix @ np.linalg.inv(t))
+    return GroupElement(alg, t @ g.matrix @ alg._tau_inverse)
 
 
 def sharp(g: GroupElement) -> GroupElement:

@@ -104,7 +104,7 @@ def is_standard(v: StandardSubspace) -> bool:
     if k != n:
         return False
     stack = np.hstack([_realify(b), _realify(1j * b)])
-    return not numkit.null_space(stack).shape[1]
+    return not numkit.nullity(stack)
 
 
 def _tomita_linear_part(v: StandardSubspace) -> np.ndarray:

@@ -39,6 +39,7 @@ __all__ = [
     "hermitian_defect",
     "loewner_leq",
     "null_space",
+    "nullity",
     "clusters",
     "eigvals_clustered",
     "quad_adaptive",
@@ -94,7 +95,7 @@ def require_finite(a, what: str = "matrix") -> np.ndarray:
     a = np.asarray(a)
     if a.dtype == object:
         raise ValueError(f"{what} has non-numeric entries")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
     return a
 
@@ -246,12 +247,23 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     return bool(np.linalg.eigvalsh(diff).min() >= -tol.value)
 
 
+def _rank(s, rtol: float) -> int:
+    """Number of singular values s (largest first) above rtol * max(1, s[0])."""
+    return int(np.sum(s > rtol * max(1.0, s[0] if s.size else 0.0)))
+
+
 def null_space(a, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal columns spanning the null space of a: the right singular
     vectors whose singular value is at most rtol * max(1, largest)."""
     _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > rtol * max(1.0, s[0] if s.size else 0.0)))
-    return vt[rank:].conj().T
+    return vt[_rank(s, rtol):].conj().T
+
+
+def nullity(a, rtol: float = RANK_RTOL) -> int:
+    """null_space(a, rtol).shape[1] from the singular values alone: the
+    column count minus the rank, so a wide a counts its extra columns."""
+    a = np.asarray(a)
+    return a.shape[1] - _rank(np.linalg.svd(a, compute_uv=False), rtol)
 
 
 def clusters(vals, gap: float) -> list[np.ndarray]:

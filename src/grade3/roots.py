@@ -56,12 +56,15 @@ class RootDatum:
         return self.cartan.shape[0]
 
     def index_of(self, alpha) -> int:
-        """Index of the root equal to alpha within numkit.CLUSTER_GAP;
-        KeyError if none."""
+        """Index of the first root r with |r - alpha| <= CLUSTER_GAP +
+        1e-5 |alpha| in every entry (numpy's allclose at atol CLUSTER_GAP and
+        its default rtol); KeyError if none, as for a non-finite alpha."""
         alpha = np.asarray(alpha, dtype=complex)
-        for i, r in enumerate(self.roots):
-            if np.allclose(r, alpha, atol=numkit.CLUSTER_GAP):
-                return i
+        roots = np.asarray(self.roots, dtype=complex).reshape(-1, self.rank)
+        close = ((np.abs(roots - alpha) <= numkit.CLUSTER_GAP + 1e-5 * np.abs(alpha))
+                 & np.isfinite(alpha)).all(axis=1)
+        if close.any():
+            return int(close.argmax())
         raise KeyError(f"{alpha} is not a root of this datum")
 
     def i_values(self, x0) -> np.ndarray:
@@ -89,7 +92,7 @@ def _refine_blocks(blocks, a, gap):
             continue
         a_res = q.conj().T @ (a @ q)
         w, vec = np.linalg.eig(a_res)
-        if numkit.null_space(vec).shape[1]:
+        if numkit.nullity(vec):
             raise NotCartan("ad(t) is not semisimple on the complexification")
         for grp in numkit.clusters(w, gap):
             sub = np.linalg.qr(vec[:, grp])[0]
@@ -111,7 +114,7 @@ def root_decomposition(algebra: LieAlgebraSpec, cartan,
     k, dim = t_mat.shape
     if dim != algebra.dim:
         raise ValueError("cartan vectors do not match the algebra dimension")
-    if numkit.null_space(t_mat.T).shape[1]:
+    if numkit.nullity(t_mat.T):
         raise NotCartan("cartan vectors are linearly dependent")
     scale = float(np.abs(t_mat).max())
     for i in range(k):

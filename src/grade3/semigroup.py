@@ -69,7 +69,7 @@ class PolarFactorization:
 def member_ShC(g: GroupElement, grading: Grading, cone: Cone,
                tol: Tolerance = DEFAULT_TOL) -> bool:
     """Compression-semigroup membership: h - Ad(g)h in C."""
-    w = ad_image(g, grading.h, tol)
+    w = ad_image(g, grading, tol)
     return cone.contains(grading.h - w, tol)
 
 
@@ -78,18 +78,19 @@ def member_P(g: GroupElement, grading: Grading, sign: int,
     """Membership in P(sign) = G^0 G^{sign}: Ad(g)h lands in h + g^{sign}."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    r = ad_image(g, grading.h, tol) - grading.h
+    r = ad_image(g, grading, tol) - grading.h
     off = r - grading.part(r, sign)
     return tol.accepts(np.linalg.norm(off), np.linalg.norm(r))
 
 
-def _inverse_factor(alg, x, which: str) -> GroupElement:
-    """exp(-x), the inverse of the factor exp(x), refusing a diverging x."""
+def _inverse_factor(alg, x, which: str) -> np.ndarray:
+    """The matrix exp(-x), inverse of the factor exp(x), refusing a
+    diverging x."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = numkit.expm(alg.to_matrix(-x))
     if not np.isfinite(m).all():
         raise NotInOpenCell(f"{which} factor exp(-x) overflows")
-    return GroupElement(alg, m)
+    return m
 
 
 def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
@@ -109,7 +110,7 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     try:
         if order == "+0-":
             g = g.inverse()
-        w = ad_image(g, h, tol)
+        w = ad_image(g, grading, tol)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NotInOpenCell(f"g is numerically singular: {exc}") from exc
 
@@ -123,16 +124,16 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     scale = float(np.linalg.norm(w))
 
     try:
-        g1 = _inverse_factor(alg, x_minus, "leading") @ g
-        r = ad_image(g1, h, tol) - h
+        g1 = GroupElement(alg, _inverse_factor(alg, x_minus, "leading") @ g.matrix)
+        r = ad_image(g1, grading, tol) - h
         tol.check(np.linalg.norm(r - grading.part(r, 1)), scale,
                   NotInOpenCell, "residual conjugation does not reach h + g^{-lead}")
 
         # Trailing factor from Ad(g1^{-1})h = h + x+.  Its off-degree part
         # needs no gate of its own: g0 fixes h only if it vanishes.
-        x_plus = grading.part(ad_image(g1.inverse(), h, tol) - h, 1)
-        g0 = g1 @ _inverse_factor(alg, x_plus, "trailing")
-        tol.check(np.linalg.norm(ad_image(g0, h, tol) - h), scale,
+        x_plus = grading.part(ad_image(g1.inverse(), grading, tol) - h, 1)
+        g0 = GroupElement(alg, g1.matrix @ _inverse_factor(alg, x_plus, "trailing"))
+        tol.check(np.linalg.norm(ad_image(g0, grading, tol) - h), scale,
                   NotInOpenCell, "middle factor does not fix h")
     except (AdjointOutOfSpan, np.linalg.LinAlgError) as exc:
         # A diverging unipotent factor can push the intermediate conjugations
@@ -181,7 +182,7 @@ def polar_factor(g: GroupElement, grading: Grading,
     tol.check(np.linalg.norm(grading.tau @ x + x), float(np.linalg.norm(x)),
               NotPolar, "odd part of the factorization is not tau-antifixed")
     g0 = g @ GroupElement.exp(alg, -x)
-    tol.check(np.linalg.norm(ad_image(g0, grading.h, tol) - grading.h), 1.0,
+    tol.check(np.linalg.norm(ad_image(g0, grading, tol) - grading.h), 1.0,
               NotPolar, "unit factor does not fix h")
     return PolarFactorization(g0, x)
 

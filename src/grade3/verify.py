@@ -242,7 +242,7 @@ def _suite_semigroup(rng, samples, tol):
         if semigroup.member_ShC(g, e.grading, e.cone, tol) and \
            semigroup.member_ShC(g.inverse(), e.grading, e.cone, tol):
             worst = max(worst, float(np.linalg.norm(
-                ad_image(g, e.grading.h, tol) - e.grading.h)))
+                ad_image(g, e.grading, tol) - e.grading.h)))
     checks.append(_leq("unit_group_fixes_h", worst, 1e-8))
 
     dec_entries = [catalog.get_entry(n) for n in ("sl2", "poincare3", "poincare4")]
@@ -297,7 +297,7 @@ def _suite_semigroup(rng, samples, tol):
         f = semigroup.polar_factor(g, e.grading, tol)
         worst = max(worst,
                     float(np.linalg.norm(e.grading.tau @ f.x + f.x)),
-                    float(np.linalg.norm(ad_image(f.g0, e.grading.h, tol) - e.grading.h)))
+                    float(np.linalg.norm(ad_image(f.g0, e.grading, tol) - e.grading.h)))
     checks.append(_leq("polar_roundtrip", worst, 1e-8))
 
     poi = catalog.get_entry("poincare3")

@@ -368,3 +368,45 @@ def test_from_json_flat_generators_is_one_generator():
 def test_from_json_generators_with_three_axes_is_value_error():
     with pytest.raises(ValueError, match="bad cone object"):
         Cone.from_json({"kind": "polyhedral", "generators": [[[1.0, 0.0, 0.0]]]})
+
+
+def _overflow_cases():
+    e = catalog.get_entry("poincare4")
+    return [Cone("light_cone", 3, d=3), e.cone, e.cone_plus, e.cone_minus]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_light_cone_norm_does_not_overflow(k):
+    # squared entries of 1e160 overflow; the norm falls back to max scaling
+    cone, lam = _overflow_cases()[k], 1e160
+    rng = np.random.default_rng(11)
+    inside = [cone.sample(rng) for _ in range(10)]
+    if k == 0:
+        inside.append(np.array([2.0, 1.0, 0.0]))
+    outside = [-x for x in inside]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in inside:
+            assert cone.violation(x) == 0.0
+            assert cone.violation(lam * x) == 0.0
+            assert cone.contains(lam * x)
+        assert min(cone.violation(x) for x in outside) > 0.0
+        for x in outside + list(rng.normal(size=(10, cone.ambient_dim))):
+            np.testing.assert_allclose(cone.violation(lam * x), lam * cone.violation(x),
+                                       rtol=1e-15)
+
+
+def test_view_near_the_float_limit_reads_finite_or_inf():
+    # an oblique section (row gain 2) at entries near 1.7e308: a residual
+    # whose norm overflows is rescaled, and one whose image overflows reads
+    # inf, never NaN
+    P = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    cone = Cone("section", 3, base=Cone("light_cone", 3, d=3), projector=P, sign=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cone.violation(np.array([1.7e308, 1e308, 0.0])) == 0.0
+        np.testing.assert_allclose(cone.violation(np.array([0.0, 1e308, -1e308])),
+                                   1e308 * cone.violation(np.array([0.0, 1.0, -1.0])),
+                                   rtol=1e-15)
+        with np.errstate(over="ignore"):  # P x overflows in its second entry
+            assert cone.violation(np.array([1.7e308, 1e308, 1e308])) == math.inf

@@ -369,3 +369,17 @@ def test_spectrum_gate_census_matches_schur(monkeypatch):
             ours, ref = _both_verdicts(monkeypatch, alg, grading.part(rng.normal(size=alg.dim), d))
             assert {ours[0], ref[0]} <= {"eigenvalue", "semisimple"}, name
     assert seen == {"accepted", "eigenvalue", "semisimple", "leaves"}
+
+
+def test_products_and_inverses_keep_the_finite_invariant(sl2):
+    # an overflowing product or inverse is refused with the constructor's
+    # message, and inverse() hands the pair over instead of inverting again
+    big = GroupElement(sl2.algebra, np.diag([1e200, 1e-200]))
+    tiny = GroupElement(sl2.algebra, np.diag([1e-310, 1.0]))
+    for build in (lambda: big @ big, tiny.inverse):
+        with np.errstate(divide="ignore", over="ignore"), \
+                pytest.raises(ValueError, match="^group element has non-finite entries$"):
+            build()
+    g = GroupElement(sl2.algebra, np.array([[2.0, 1.0], [1.0, 1.0]]))
+    inv = g.inverse()
+    assert inv.inv_matrix is g.matrix and inv.inverse().matrix is g.matrix

@@ -318,3 +318,15 @@ def test_zero_tolerance_gates_at_zero_at_every_scale():
 def test_logm_principal_of_real_input_is_float64(make):
     out = numkit.logm_principal(make())
     assert out.dtype == np.float64
+
+
+def test_nullity_counts_the_null_space_columns(rng):
+    low_rank = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 6))
+    cases = [np.diag([1e-3, 1e-11, 0.0]), np.diag([1e6, 1e-5, 1.0]),
+             np.diag([1e6, 1e-3, 1.0]), np.zeros((0, 3)), np.zeros((2, 2)),
+             rng.normal(size=(2, 5)), rng.normal(size=(5, 2)), low_rank, low_rank.T,
+             rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))]
+    for a in cases:  # wide inputs count their extra columns
+        for rtol in (numkit.RANK_RTOL, 1e-8):
+            assert numkit.nullity(a, rtol) == numkit.null_space(a, rtol).shape[1], a.shape
+    assert numkit.nullity(low_rank) == 4 and numkit.nullity(low_rank.T) == 2

@@ -172,3 +172,34 @@ def test_cmax_keeps_the_lineality_space():
 def test_dependent_cartan_rows_are_not_cartan(sl2):
     with pytest.raises(NotCartan, match="linearly dependent"):
         roots.root_decomposition(sl2.algebra, np.vstack([U_COORDS, 2.0 * U_COORDS]))
+
+
+def _index_by_allclose(roots_, alpha):
+    """The root lookup as a loop of numpy.allclose calls; None if no root."""
+    for i, r in enumerate(roots_):
+        if np.allclose(r, np.asarray(alpha, dtype=complex), atol=1e-8):
+            return i
+    return None
+
+
+def _index_of(datum, alpha):
+    try:
+        return datum.index_of(alpha)
+    except KeyError:
+        return None
+
+
+@pytest.mark.parametrize("name", catalog.ROOT_FIXTURE_NAMES)
+def test_index_of_keeps_the_allclose_predicate(name):
+    algebra, cartan, _ = catalog.root_fixture(name)
+    datum = roots.root_decomposition(algebra, cartan)
+    # offsets just inside and just outside CLUSTER_GAP + 1e-5 |alpha|
+    for i, r in enumerate(datum.roots):
+        edge = 1e-8 + 1e-5 * np.abs(r)
+        for step in (0.0, 0.99, -0.99, 1.01, -1.01):
+            for alpha in (r + step * edge, r + 1j * step * edge):
+                found = _index_of(datum, alpha)
+                assert found == _index_by_allclose(datum.roots, alpha), (i, step)
+                assert abs(step) > 1 or found == i
+    for bad in (np.nan, np.inf):
+        assert _index_of(datum, np.full(datum.rank, bad, dtype=complex)) is None

@@ -314,3 +314,38 @@ def test_correct_factors_with_off_degree_trailing_roundoff_are_accepted(name, in
         drawn, g = _drawn_element(entry, rng, 5.0, "-0+")
     err, bound = _factor_error(triangular_factor(g, entry.grading, "-0+"), drawn, g)
     assert err <= bound
+
+
+@pytest.mark.parametrize("name", ["sl2", "poincare4", "jacobi2"])
+@pytest.mark.parametrize("order", ["+0-", "-0+"])
+def test_factor_does_not_rederive(name, order, monkeypatch):
+    # per call: h is never turned into a matrix again (the grading holds its
+    # matrix), the two factors take one exponential each, and the inverses
+    # of g, g1 and g0 are each computed once and then shared
+    from grade3 import liealg, numkit
+
+    e = catalog.get_entry(name)
+    g = catalog.sample_semigroup_element(e, np.random.default_rng(5))
+    triangular_factor(g, e.grading, order)  # anything built on first use is built
+    counts = {"h": 0, "expm": 0, "inv": 0}
+    to_matrix, expm, inv = liealg.LieAlgebraSpec.to_matrix, numkit.expm, np.linalg.inv
+
+    def counted_to_matrix(self, x):
+        counts["h"] += np.array_equal(np.asarray(x, dtype=float), e.grading.h)
+        return to_matrix(self, x)
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(liealg.LieAlgebraSpec, "to_matrix", counted_to_matrix)
+    monkeypatch.setattr(numkit, "expm", counted("expm", expm))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+    g = catalog.sample_semigroup_element(e, np.random.default_rng(6))
+    counts.update(h=0, expm=0, inv=0)  # the sampler's own exponentials
+    triangular_factor(g, e.grading, order)
+    assert counts["h"] == 0
+    assert counts["expm"] == 2
+    assert counts["inv"] <= 3
