@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numkit
 from .cones import Cone, graded_parts, nonneg_poly_dim, poly_gram
 from .liealg import Grading, GroupElement, LieAlgebraSpec, grade_by
 from .numkit import DEFAULT_TOL, Tolerance
@@ -63,7 +64,7 @@ class CatalogEntry:
             "description": self.description,
             "dim": int(self.algebra.dim),
             "dims": list(self.dims),
-            "h": [float(v) for v in self.h],
+            "h": numkit.float_list(self.h),
             "algebra": self.algebra.to_json(),
             "cone": self.cone.to_json(),
         }

@@ -41,13 +41,54 @@ def _plain(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+# The one encoder.  It writes on one line, so json runs it in C.
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_plain,
+                           separators=(",", ":")).encode
+
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _layout(obj, pad: str) -> str:
+    """obj as json.dumps(..., indent=2) writes it at indentation pad.
+
+    A dict or list with no container in it (for a list, judged by its first
+    item) is written by one _encode call and split: when that text holds no
+    bracket or brace and one comma fewer than there are items (for a dict,
+    also one colon per item), no string holds a comma or colon, so each
+    comma ends an item and each colon a key.  Anything else is laid out item
+    by item, each scalar written by _encode."""
+    if isinstance(obj, (str, int, float)) or obj is None:
+        return _encode(obj)
+    is_dict = isinstance(obj, dict)
+    if not is_dict and not isinstance(obj, (list, tuple)):
+        return _layout(_plain(obj), pad)
+    start, end = "{}" if is_dict else "[]"
+    if not obj:
+        return start + end
+    inner = pad + "  "
+    body = None
+    if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj[:1])):
+        text = _encode(obj)[1:-1]
+        if ("[" not in text and "{" not in text and text.count(",") == len(obj) - 1
+                and (not is_dict or text.count(":") == len(obj))):
+            body = text.replace(",", ",\n" + inner)
+            if is_dict:
+                body = body.replace(":", ": ")
+    if body is None and is_dict:
+        # a key that is not a string takes JSON's own spelling from _encode
+        body = (",\n" + inner).join(
+            (_encode(k) if isinstance(k, str) else _encode({k: 0})[1:-3])
+            + ": " + _layout(v, inner) for k, v in sorted(obj.items()))
+    elif body is None:
+        body = (",\n" + inner).join(_layout(v, inner) for v in obj)
+    return start + "\n" + inner + body + "\n" + pad + end
+
+
 def render_json(obj, compact: bool = False) -> str:
     """Canonical renderer: sorted keys and shortest round-trip floats, on one
     line when compact, else indented by two.  NaN and infinity raise
     ValueError."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False, default=_plain,
-                      indent=None if compact else 2,
-                      separators=(",", ":") if compact else None)
+    return _encode(obj) if compact else _layout(obj, "")
 
 
 # -- input plumbing -----------------------------------------------------

@@ -235,7 +235,7 @@ class Cone:
                     "inject": numkit.matrix_to_json(self.from_base)}
         if self.kind == "polyhedral":
             return {"kind": "polyhedral",
-                    "generators": [[float(v) for v in col] for col in self.generators.T]}
+                    "generators": numkit.float_list(self.generators.T)}
         if self.kind == "sl2_lorentz":
             return {"kind": "sl2_lorentz"}
         if self.kind == "light_cone":

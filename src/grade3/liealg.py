@@ -26,6 +26,7 @@ __all__ = [
     "Grading",
     "GroupElement",
     "grade_by",
+    "brackets",
     "adjoint",
     "ad_image",
     "tau_group",
@@ -206,6 +207,13 @@ class Grading:
         return self._bases[degree]
 
 
+def brackets(c, u, v) -> np.ndarray:
+    """w[a, b] = coordinates of [u_a, v_b] for structure constants c and the
+    columns u_a of u and v_b of v.  u is contracted into c first, then v: a
+    fixed order of two tensordots, with no contraction path to search for."""
+    return np.tensordot(np.tensordot(u, c, axes=(0, 0)), v, axes=(1, 0)).transpose(0, 2, 1)
+
+
 def grade_by(algebra: LieAlgebraSpec, h) -> Grading:
     """3-grading of the algebra by ad(h) eigenvalues {-1, 0, +1}.
 
@@ -246,9 +254,7 @@ def grade_by(algebra: LieAlgebraSpec, h) -> Grading:
     scale = float(np.abs(c).max())
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            # w[a, b] = [u_a, v_b] over the two eigenbases, in one contraction
-            w = np.einsum("ia,ijk,jb->abk", g.eigenbasis(di), c, g.eigenbasis(dj),
-                          optimize=True)
+            w = brackets(c, g.eigenbasis(di), g.eigenbasis(dj))
             if -1 <= di + dj <= 1:
                 w = w - w @ g.projector(di + dj).T
             DEFAULT_TOL.check(float(np.abs(w).max(initial=0.0)), scale, NotThreeGraded,

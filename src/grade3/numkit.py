@@ -16,6 +16,7 @@ not load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ __all__ = [
     "CLUSTER_GAP",
     "RANK_RTOL",
     "require_finite",
+    "float_list",
     "matrix_to_json",
     "matrix_from_json",
     "vector_to_json",
@@ -100,6 +102,12 @@ def require_finite(a, what: str = "matrix") -> np.ndarray:
     return a
 
 
+def float_list(a) -> list:
+    """a as nested lists of Python floats (an integer 1 gives 1.0), the
+    form every JSON document of the package writes numbers in."""
+    return np.asarray(a, dtype=float).tolist()
+
+
 def matrix_to_json(m) -> dict:
     """Serialize a matrix to {"rows", "cols", "re"[, "im"]} with row-major
     flat entry lists.  "im" is present only for complex matrices."""
@@ -107,10 +115,10 @@ def matrix_to_json(m) -> dict:
     out = {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "re": [float(v) for v in np.real(m).ravel()],
+        "re": float_list(np.real(m).ravel()),
     }
     if np.iscomplexobj(m):
-        out["im"] = [float(v) for v in np.imag(m).ravel()]
+        out["im"] = float_list(np.imag(m).ravel())
     return out
 
 
@@ -135,7 +143,7 @@ def matrix_from_json(d: dict) -> np.ndarray:
 def vector_to_json(z) -> dict:
     """Serialize a complex vector to {"re", "im"} entry lists."""
     z = np.asarray(z)
-    return {"re": [float(v) for v in z.real], "im": [float(v) for v in z.imag]}
+    return {"re": float_list(z.real), "im": float_list(z.imag)}
 
 
 def vector_from_json(d: dict) -> np.ndarray:
@@ -158,13 +166,20 @@ def _cut_distance(z: complex) -> float:
     return abs(z)
 
 
-# Nodes and weights on [0, 1] of the degree-8 Gauss-Legendre Pade
-# approximant to log(I + X), accurate to double precision for ||X||_1 up to
-# 0.367 (Al-Mohy & Higham 2012, Table 2.1); _LOG_THETA keeps a margin below
-# it.  Each square root halves log(t), so _LOG_MAX_SQRTS halvings bring any
-# log with finite entries under _LOG_THETA.
-_LOG_NODES, _LOG_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_LOG_NODES, _LOG_WEIGHTS = (_LOG_NODES + 1.0) / 2.0, _LOG_WEIGHTS / 2.0
+@functools.cache
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    built on first use, so numpy.polynomial is not imported until a log or
+    an integral needs it."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+# The degree-8 Gauss-Legendre Pade approximant to log(I + X), from the rule
+# on [0, 1], is accurate to double precision for ||X||_1 up to 0.367 (Al-Mohy
+# & Higham 2012, Table 2.1); _LOG_THETA keeps a margin below it.  Each square
+# root halves log(t), so _LOG_MAX_SQRTS halvings bring any log with finite
+# entries under _LOG_THETA.
+_LOG_DEGREE = 8
 _LOG_THETA = 0.25
 _LOG_MAX_SQRTS = 1100
 
@@ -204,9 +219,11 @@ def logm_principal(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
                 f"{k} square roots did not bring the Schur factor near I")
         t, k = scipy.linalg.sqrtm(t), k + 1
     x = t - eye
-    terms = np.linalg.solve(eye + _LOG_NODES[:, None, None] * x,
-                            np.broadcast_to(x, (len(_LOG_NODES),) + x.shape))
-    log_t = np.exp2(k) * np.tensordot(_LOG_WEIGHTS, terms, axes=1)
+    nodes, weights = _gauss_legendre(_LOG_DEGREE)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    terms = np.linalg.solve(eye + nodes[:, None, None] * x,
+                            np.broadcast_to(x, (len(nodes),) + x.shape))
+    log_t = np.exp2(k) * np.tensordot(weights, terms, axes=1)
     np.fill_diagonal(log_t, np.log(np.diag(t0)))
     out = z @ log_t @ z.conj().T
     return out if np.iscomplexobj(a) else out.real
@@ -296,14 +313,14 @@ def eigvals_clustered(a) -> np.ndarray:
     return _merge_clusters(np.linalg.eigvals(a))
 
 
-# 15-point Gauss-Legendre rule used by the adaptive quadrature.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_GL_POINTS = 15     # points of the Gauss-Legendre rule of the adaptive quadrature
 _GL_MAX_DEPTH = 40  # bisections after which a panel is accepted as it is
 
 
 def _gl_panel(f, a: float, b: float):
+    nodes, weights = _gauss_legendre(_GL_POINTS)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return half * np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES))
+    return half * np.sum(weights * f(mid + half * nodes))
 
 
 def quad_adaptive(f, a: float, b: float, tol: float = 1e-8):

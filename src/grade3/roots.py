@@ -65,7 +65,7 @@ class RootDatum:
                  & np.isfinite(alpha)).all(axis=1)
         if close.any():
             return int(close.argmax())
-        raise KeyError(f"{alpha} is not a root of this datum")
+        raise KeyError(f"{alpha.tolist()} is not a root of this datum")
 
     def i_values(self, x0) -> np.ndarray:
         """Real numbers i alpha(x0) for every root, x0 in Cartan coords."""
@@ -76,7 +76,7 @@ class RootDatum:
 
     def to_json(self) -> dict:
         return {
-            "cartan": [[float(v) for v in row] for row in self.cartan],
+            "cartan": numkit.float_list(self.cartan),
             "roots": [numkit.vector_to_json(r) for r in self.roots],
             "vectors": [numkit.vector_to_json(x) for x in self.vectors],
             "types": list(self.types),

@@ -45,9 +45,9 @@ class TriangularFactorization:
 
     def to_json(self) -> dict:
         return {
-            "x_plus": [float(v) for v in self.x_plus],
+            "x_plus": numkit.float_list(self.x_plus),
             "g0": numkit.matrix_to_json(self.g0.matrix),
-            "x_minus": [float(v) for v in self.x_minus],
+            "x_minus": numkit.float_list(self.x_minus),
             "order": self.order,
         }
 
@@ -62,7 +62,7 @@ class PolarFactorization:
     def to_json(self) -> dict:
         return {
             "g0": numkit.matrix_to_json(self.g0.matrix),
-            "x": [float(v) for v in self.x],
+            "x": numkit.float_list(self.x),
         }
 
 
@@ -100,8 +100,8 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     '-0+' is eliminated directly; '+0-' is the mirror of '-0+' on g^{-1}.
     Raises AdjointOutOfSpan when the first conjugation (of g for '-0+', of
     g^{-1} for '+0-') fails its gate, and NotInOpenCell for every later
-    failure: a numerically singular g, an overflowing factor, or a gate on
-    the residual conjugation or the middle factor.
+    failure: a numerically singular g, an overflowing system or factor, or
+    a gate on the residual conjugation or the middle factor.
     """
     if order not in ("+0-", "-0+"):
         raise ValueError("order must be '+0-' or '-0+'")
@@ -119,7 +119,10 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     # residual is not gated here.
     basis = grading.eigenbasis(-1)
     mat = basis.T @ (np.eye(alg.dim) - alg.ad(grading.part(w, 0))) @ basis
-    sol, _ = numkit.solve_lstsq(mat, basis.T @ (2.0 * grading.part(w, -1)))
+    try:
+        sol, _ = numkit.solve_lstsq(mat, basis.T @ (2.0 * grading.part(w, -1)))
+    except ValueError as exc:  # the system overflows for a finite w near the float limit
+        raise NotInOpenCell(f"system for x- cannot be solved: {exc}") from exc
     x_minus = basis @ sol
     scale = float(np.linalg.norm(w))
 

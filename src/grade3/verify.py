@@ -13,7 +13,7 @@ import numpy as np
 from . import catalog, modular, numkit, roots, semigroup
 from .cones import gram_to_poly, invariance_check, poly_eval
 from .errors import NotInOpenCell, UnknownSuite
-from .liealg import GroupElement, ad_image, adjoint, sharp
+from .liealg import GroupElement, ad_image, adjoint, brackets, sharp
 from .numkit import DEFAULT_TOL, Tolerance
 
 __all__ = ["SUITE_NAMES", "run_suite"]
@@ -58,7 +58,7 @@ def _tau_bracket_defect(c, tau) -> float:
     """Largest |tau [b_i, b_j] - [tau b_i, tau b_j]| over basis pairs i < j,
     for structure constants c and the matrix tau on coefficient vectors."""
     lhs = c @ tau.T
-    rhs = np.einsum("ai,bj,abk->ijk", tau, tau, c, optimize=True)
+    rhs = brackets(c, tau, tau)
     pairs = np.triu_indices(len(c), 1)
     return float(np.abs(lhs - rhs)[pairs].max(initial=0.0))
 

@@ -13,9 +13,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grade3 import catalog, cli
-from grade3.cli import _build_parser, main, render_json
+from grade3.cli import _build_parser, _plain, main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +225,64 @@ def test_compact_and_pretty_agree(capsys):
     assert json.loads(pretty) == json.loads(compact)
 
 
+# Documents for the renderer: nested dicts, lists and tuples over every
+# scalar JSON has, the floats whose text is easy to get wrong, strings that
+# hold JSON's own punctuation or leave ASCII, numpy arrays and scalars, and
+# values that cannot be written (NaN, infinity, objects of no JSON type).
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 0.1, 1e-7]))
+_TEXT = st.text(st.sampled_from(list(',[{"}]: \\\nx\xe9\u20ac\U0001d11e')), max_size=6)
+_ARRAYS = st.one_of(
+    st.lists(_FLOATS, max_size=5).map(np.array),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(
+        lambda v: np.array(v).reshape(len(v), 1)),
+    st.lists(st.complex_numbers(max_magnitude=1e3), max_size=2).map(np.array),
+)
+_NUMPY_SCALARS = st.one_of(
+    _FLOATS.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), st.floats(width=32).map(np.float32))
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT,
+                    _ARRAYS, _NUMPY_SCALARS, st.builds(object), st.builds(set))
+_KEYS = st.one_of(_TEXT, _TEXT, st.integers(-3, 3), st.booleans(), st.none(), _FLOATS)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=5),
+                           st.lists(kids, max_size=3).map(tuple),
+                           st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=25)
+
+
+def _outcome(render, doc):
+    try:
+        return render(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCS)
+def test_pretty_form_matches_the_standard_indented_dump(doc):
+    want = _outcome(lambda d: json.dumps(d, sort_keys=True, allow_nan=False,
+                                         default=_plain, indent=2), doc)
+    assert _outcome(render_json, doc) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCS)
+def test_compact_form_matches_the_standard_compact_dump(doc):
+    want = _outcome(lambda d: json.dumps(d, sort_keys=True, allow_nan=False,
+                                         default=_plain, separators=(",", ":")), doc)
+    assert _outcome(lambda d: render_json(d, compact=True), doc) == want
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [1.0, float("nan")]}, [[0.0], {"b": float("inf")}], float("-inf"),
+    np.array([1.0, np.nan]), {"x": np.float64("inf")}])
+@pytest.mark.parametrize("compact", [False, True])
+def test_non_finite_values_raise_in_both_forms(doc, compact):
+    with pytest.raises(ValueError):
+        render_json(doc, compact=compact)
+
+
 def test_env_tolerance(capsys, monkeypatch):
     rot = "[[0,1],[-1,0]]"
     monkeypatch.setenv("GRADE3_TOL", "10")
@@ -406,6 +466,24 @@ assert "scipy.optimize" in loaded(), loaded()
 
 def test_scipy_loads_on_first_use():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_STEPS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# The Gauss-Legendre rules of numkit are built on first use, so importing
+# the command line and building every catalog entry leaves numpy.polynomial
+# unloaded.
+_NO_POLYNOMIAL = """
+import sys
+from grade3 import catalog, cli
+for name in catalog.ENTRY_NAMES:
+    catalog.get_entry(name)
+assert "numpy.polynomial" not in sys.modules
+"""
+
+
+def test_polynomial_module_loads_on_first_use():
+    proc = subprocess.run([sys.executable, "-c", _NO_POLYNOMIAL],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -700,3 +778,16 @@ def test_zero_tolerance_reports_a_zero_gate_at_overflowed_scale(capsys):
                                  "--g", _diag(1e160, 1e-160), "--tol", "0")
     assert code == 1 and payload["error"] == "AdjointOutOfSpan"
     assert payload["detail"].endswith("above gate 0.000e+00 at scale inf")
+
+
+# Ad(g)h of this finite element is finite, but twice its degree -1 part
+# overflows on the right side of the x- system: the element is refused as
+# outside the open cell, in both orders, with a JSON error document.
+@pytest.mark.parametrize("order", ["+0-", "-0+"])
+def test_factor_with_an_overflowing_system_is_not_in_the_open_cell(capsys, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "factor", "--demo", "sl2", "--g",
+                                 "[[1,0],[1.5e308,1]]", f"--order={order}")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == "NotInOpenCell"

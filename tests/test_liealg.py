@@ -23,6 +23,7 @@ from grade3.liealg import (
     LieAlgebraSpec,
     ad_image,
     adjoint,
+    brackets,
     grade_by,
     sharp,
     tau_group,
@@ -383,3 +384,18 @@ def test_products_and_inverses_keep_the_finite_invariant(sl2):
     g = GroupElement(sl2.algebra, np.array([[2.0, 1.0], [1.0, 1.0]]))
     inv = g.inverse()
     assert inv.inv_matrix is g.matrix and inv.inverse().matrix is g.matrix
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_brackets_match_the_optimized_einsum_bit_for_bit(name):
+    # grade_by's compatibility check reads these blocks; the fixed order of
+    # two tensordots must give the bits the optimized einsum gave
+    entry = catalog.get_entry(name)
+    c, g = entry.algebra.structure_constants, entry.grading
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            u, v = g.eigenbasis(di), g.eigenbasis(dj)
+            want = np.einsum("ia,ijk,jb->abk", u, c, v, optimize=True)
+            got = brackets(c, u, v)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (di, dj)

@@ -203,3 +203,12 @@ def test_index_of_keeps_the_allclose_predicate(name):
                 assert abs(step) > 1 or found == i
     for bad in (np.nan, np.inf):
         assert _index_of(datum, np.full(datum.rank, bad, dtype=complex)) is None
+
+
+def test_index_of_miss_names_alpha_as_a_plain_list():
+    algebra, cartan, _ = catalog.root_fixture("sl2+sl2")
+    datum = roots.root_decomposition(algebra, cartan)
+    alpha = np.array([0.5j, np.nan])
+    with pytest.raises(KeyError) as info:
+        datum.index_of(alpha)
+    assert info.value.args == (f"{alpha.tolist()} is not a root of this datum",)

@@ -349,3 +349,13 @@ def test_factor_does_not_rederive(name, order, monkeypatch):
     assert counts["h"] == 0
     assert counts["expm"] == 2
     assert counts["inv"] <= 3
+
+
+def test_overflowing_x_minus_system_is_not_in_the_open_cell(sl2):
+    # Ad(g)h is finite, but 2 w_-1 overflows in the right side of the solve
+    g = GroupElement(sl2.algebra, np.array([[1.0, 0.0], [1.5e308, 1.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in ("+0-", "-0+"):
+            with pytest.raises(NotInOpenCell):
+                triangular_factor(g, sl2.grading, order)
+        assert member_decomposed(g, sl2.grading, sl2.cone) is False

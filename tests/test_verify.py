@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grade3 import verify
+from grade3 import catalog, verify
 from grade3.errors import UnknownSuite
 from grade3.liealg import LieAlgebraSpec, grade_by
 
@@ -67,3 +67,12 @@ def test_tau_bracket_defect_with_non_diagonal_tau():
         got = verify._tau_bracket_defect(c, t)
         assert got == pytest.approx(_tau_bracket_reference(c, t), rel=1e-9, abs=1e-12)
         assert (got <= 1e-10) == automorphism
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_tau_bracket_defect_matches_the_optimized_einsum_bit_for_bit(name):
+    entry = catalog.get_entry(name)
+    c, tau = entry.algebra.structure_constants, entry.grading.tau
+    rhs = np.einsum("ai,bj,abk->ijk", tau, tau, c, optimize=True)
+    want = float(np.abs(c @ tau.T - rhs)[np.triu_indices(len(c), 1)].max(initial=0.0))
+    assert verify._tau_bracket_defect(c, tau) == want
