@@ -12,12 +12,15 @@ degree-<=2 polynomials is defined here once (_quad_index); the Jacobi chart
 in catalog reads it through poly_gram.
 
 Membership is always one-sided: a point belongs to the cone when its
-violation (a nonnegative defect measure) is at most tol.value.  A point with
-a NaN or infinite entry lies in no cone: its violation is inf.  The light
-cone's norm and a view's off-view norm fall back to max scaling where the
-plain norm overflows, so a finite point far out keeps a finite violation,
-unless a view's own image of it overflows (near the float limit through a
-map of gain above 1), which reads inf.
+violation (a nonnegative defect measure) is at most tol.value.  A polyhedral
+violation is the distance to the cone, the residual of numkit.nnls.  A point
+with a NaN or infinite entry lies in no cone: its violation is inf.  The
+light cone's norm and a view's off-view norm fall back to max scaling where
+the plain norm overflows, so a finite point far out keeps a finite
+violation, unless a view's own image of it overflows (near the float limit
+through a map of gain above 1), which reads inf.  The sl2 cone's a^2 + bc
+is rescaled by the largest entry where it overflows, so it keeps its sign
+and an inside point still reads 0.0.
 """
 
 from __future__ import annotations
@@ -180,20 +183,17 @@ class Cone:
             off = _norm(self.sign * (self.from_base @ v) - x)
             return max(off, self.base.violation(v))
         if self.kind == "polyhedral":
-            # scipy.optimize.nnls on a zero-column matrix aborts the whole
-            # interpreter (a double free, seen with scipy 1.17.1), so the
-            # cone {0} is measured directly.  scipy.optimize is imported
-            # here, so it loads only for polyhedral cones.
-            if self.generators.shape[1] == 0:
-                return float(np.linalg.norm(x))
-            import scipy.optimize
-            _, dist = scipy.optimize.nnls(self.generators, x)
-            return float(dist)
+            return numkit.nnls(self.generators, x)[1]
         if self.kind == "light_cone":
             return max(0.0, _norm(x[1:]) - float(x[0]))
         if self.kind == "sl2_lorentz":
-            a, b, c = x[0] / 2.0, x[1], x[2]
-            return float(max(0.0, -b, c, a * a + b * c))
+            a, b, c = x.tolist()  # Python floats overflow without a warning
+            a /= 2.0
+            det = a * a + b * c
+            if not abs(det) < math.inf:  # rescaled, so an inside point keeps a sign
+                s = max(abs(a), abs(b), abs(c))
+                det = s * (s * ((a / s) ** 2 + (b / s) * (c / s)))
+            return max(0.0, -b, c, det)
         # nonneg_poly
         return max(0.0, -float(np.linalg.eigvalsh(poly_gram(x, self.n)).min()))
 

@@ -69,7 +69,7 @@ class LieAlgebraSpec:
         self._basis_scale = max(1.0, float(np.abs(self.basis).max()))
 
         # Structure constants C[i, j, k]: coordinate k of [b_i, b_j].
-        comm = np.einsum("iab,jbc->ijac", self.basis, self.basis)
+        comm = np.matmul(self.basis[:, None], self.basis[None])
         comm = comm - np.transpose(comm, (1, 0, 2, 3))
         self.structure_constants, res = self.try_coords(comm)
         DEFAULT_TOL.check(float(res.max()), self._basis_scale**2, ValueError,

@@ -98,13 +98,12 @@ class ModularPair:
 
 def is_standard(v: StandardSubspace) -> bool:
     """V is standard: dim_R V = n, V cap iV = 0, V + iV = C^n, which for n
-    basis vectors b means the 2n real columns of b and ib are independent."""
+    basis vectors b means the 2n real columns of b and ib are independent,
+    that is, b is invertible: the realified stack [b, ib] has b's singular
+    values, each twice, so b's own nullity decides."""
     b = v.basis
     n, k = b.shape
-    if k != n:
-        return False
-    stack = np.hstack([_realify(b), _realify(1j * b)])
-    return not numkit.nullity(stack)
+    return k == n and not numkit.nullity(b)
 
 
 def _tomita_linear_part(v: StandardSubspace) -> np.ndarray:

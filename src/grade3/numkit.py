@@ -2,16 +2,17 @@
 
 Thin, deterministic wrappers around numpy/scipy primitives plus the pieces
 they do not provide: the principal matrix log with branch-cut detection,
-the Loewner order, eigenvalue clustering, adaptive Gauss-Legendre
-quadrature, and the JSON matrix and complex-vector codecs.  It owns the
-tolerance policy: every residual gate is decided by Tolerance.check (raise)
-or Tolerance.accepts (bool) against Tolerance.gate, which floors the data
-scale at 1; an infinite or NaN residual never passes.  The rank cutoff
+nonnegative least squares (Lawson-Hanson on np.linalg.lstsq), the Loewner
+order, eigenvalue clustering, adaptive Gauss-Legendre quadrature, and the
+JSON matrix and complex-vector codecs.  It owns the tolerance policy: every
+residual gate is decided by Tolerance.check (raise) or Tolerance.accepts
+(bool) against Tolerance.gate, which floors the data scale at 1; an
+infinite or NaN residual never passes.  The rank cutoff
 RANK_RTOL and the eigenvalue gap CLUSTER_GAP are fixed.  logm_principal owns
 a log's real part: a real matrix clear of the branch cut has a real
 principal log.  scipy.linalg is imported on first use, by expm and
-logm_principal only, so importing this module or clustering a spectrum does
-not load it.
+logm_principal only, so importing this module, clustering a spectrum or
+solving an nnls does not load it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "expm",
     "logm_principal",
     "solve_lstsq",
+    "nnls",
     "hermitian_defect",
     "loewner_leq",
     "null_space",
@@ -55,6 +57,10 @@ CLUSTER_GAP = 1e-8
 
 # Relative singular-value cutoff for numerical rank, also fixed by design.
 RANK_RTOL = 1e-10
+
+# nnls takes a gradient entry as positive above this many units of roundoff
+# per row or column.
+_NNLS_ROUNDOFF = 10.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -240,6 +246,68 @@ def solve_lstsq(a, b):
     x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ x - b))
     return x, residual
+
+
+def nnls(a, b):
+    """Nonnegative least squares: x >= 0 minimising ||a x - b||_2, and that
+    residual norm.
+
+    The active-set method of Lawson & Hanson (Solving Least Squares
+    Problems, SIAM 1995, ch. 23).  The column of largest gradient a^T r
+    joins the passive set.  The passive columns' least-squares solution
+    (np.linalg.lstsq) is taken when positive; otherwise x moves toward it
+    until an entry reaches zero, that column leaves, and the solve repeats.
+    A gradient entry within its roundoff bound counts as zero, so a
+    repeated or dependent column is not taken.  At most 3n columns join; if
+    that cap is reached, x is the last feasible iterate and the norm an
+    upper bound.  A zero-column a gives (empty, ||b||).
+
+    The norm is the last solve's own residual, the part of b outside the
+    passive columns' span, so it is exactly 0 where b lies in that span (a
+    recomputed b - a x would carry roundoff of b's size).  Where that solve
+    has no such residual (no passive column, or a rank-deficient solve) it
+    is math.hypot of b - a x, exact to the last bit for a zero x.  The
+    problem is solved for b over a power of two near its largest entry,
+    which is exact, so no sum of squares overflows or underflows.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(b).max(initial=0.0)))[1] - 1)
+    b = b / scale
+    x = np.zeros(n)
+    r = b
+    passive = []
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    for _ in range(3 * n):
+        # a gradient entry counts only above its roundoff, bounded entrywise
+        # by |a|^T (|b| + |a| x) units, so a column that b barely needs still
+        # joins when b has entries of very different size
+        w = a.T @ r - _NNLS_ROUNDOFF * max(m, n) * (abs_a.T @ (abs_b + abs_a @ x))
+        w[passive] = -np.inf
+        j = int(w.argmax())
+        if not w[j] > 0.0:
+            break
+        passive.append(j)
+        z, ss, rank, _ = np.linalg.lstsq(a[:, passive], b, rcond=None)
+        while min(z.tolist(), default=1.0) <= 0.0:
+            # move from x toward z until the first passive entry reaches 0
+            xp = x[passive]
+            step, first = min((xi / (xi - zi) if xi > 0.0 else 0.0, k)
+                              for k, (xi, zi) in enumerate(zip(xp.tolist(), z.tolist()))
+                              if zi <= 0.0)
+            xp += step * (z - xp)
+            xp[first] = 0.0
+            x[passive] = np.maximum(xp, 0.0)
+            passive = [k for k, xi in zip(passive, xp.tolist()) if xi > 0.0]
+            z, ss, rank, _ = np.linalg.lstsq(a[:, passive], b, rcond=None)
+        x[passive] = z
+        r = b - a @ x
+    if not passive or rank < len(passive):
+        rnorm = math.hypot(*r.tolist())
+    else:  # numpy gives no sum of squares for a square solve, whose residual is 0
+        rnorm = math.sqrt(ss[0]) if ss.size else 0.0
+    return scale * x, scale * rnorm
 
 
 def hermitian_defect(a) -> float:

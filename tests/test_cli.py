@@ -427,10 +427,11 @@ def test_polar_of_a_large_element_writes_nothing_to_stderr():
     assert set(json.loads(proc.stdout)) == {"g0", "x"}
 
 
-# scipy loads where a computation first needs it: scipy.linalg with the
-# first exponential or log, scipy.optimize with the first polyhedral
-# membership.  Catalog builds and the grade, member and roots verbs need
-# neither.  A fresh interpreter sees each step.
+# scipy.linalg loads where a computation first needs it, with the first
+# exponential or log.  Catalog builds and the grade, member and roots verbs
+# do not need it.  scipy.optimize never loads: polyhedral membership runs on
+# numkit's numpy nnls, in member on solvable and all through verify.  A
+# fresh interpreter sees each step.
 _IMPORT_STEPS = """
 import contextlib, io, sys
 import numpy as np
@@ -453,6 +454,7 @@ for name in catalog.ENTRY_NAMES:
 assert loaded() == set(), loaded()
 run("grade", "--demo", "jacobi3")
 run("member", "--demo", "sl2", "--g", "[[2,1],[1,1]]")
+run("member", "--demo", "solvable", "--g", "[[2,0,0.1],[0,0.5,0.05],[0,0,1]]")
 for name in catalog.ROOT_FIXTURE_NAMES:
     run("roots", "--demo", name)
 assert loaded() == set(), loaded()
@@ -460,7 +462,8 @@ run("factor", "--demo", "sl2", "--g", "[[2,1],[1,1]]")
 assert loaded() == {"scipy", "scipy.linalg"}, loaded()
 cone = catalog.get_entry("solvable").cone
 cone.violation(np.ones(cone.ambient_dim))
-assert "scipy.optimize" in loaded(), loaded()
+run("verify", "all", "--samples", "2")
+assert "scipy.optimize" not in loaded(), loaded()
 """
 
 

@@ -410,3 +410,29 @@ def test_view_near_the_float_limit_reads_finite_or_inf():
                                    rtol=1e-15)
         with np.errstate(over="ignore"):  # P x overflows in its second entry
             assert cone.violation(np.array([1.7e308, 1e308, 1e308])) == math.inf
+
+
+def test_sl2_lorentz_far_out_keeps_its_sign():
+    # a*a + b*c overflows above about 1e154; the rescaled form keeps an
+    # inside point at 0.0 and an outside one at inf, with no NaN or warning
+    cone = Cone("sl2_lorentz", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cone.violation(1e160 * np.array([0.0, 1.0, -1.0])) == 0.0
+        assert cone.violation(1e160 * np.array([0.5, 1.0, -1.0])) == 0.0
+        assert cone.violation(1e160 * np.array([2.0, 1.0, -1.0])) == 0.0  # boundary
+        assert cone.violation(1e160 * np.array([2.0, 1.0, 1.0])) == math.inf
+
+
+def test_sl2_lorentz_finite_violations_are_unchanged(sl2, rng):
+    # the same closed form as before, bit for bit, on the sl2 draws
+    def numpy_scalar_form(x):
+        a, b, c = x[0] / 2.0, x[1], x[2]
+        return float(max(0.0, -b, c, a * a + b * c))
+
+    points = []
+    for _ in range(100):
+        x = sl2.cone.sample(rng)
+        points += [x, -x, catalog.sample_algebra_element(sl2, rng, scale=5.0)]
+    for x in points:
+        assert sl2.cone.violation(x) == numpy_scalar_form(x)

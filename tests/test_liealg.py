@@ -68,6 +68,17 @@ def test_structure_constants_match_pairwise_solve(alg):
                                atol=_bound(alg, np.abs(ref).max()))
 
 
+@pytest.mark.parametrize("alg", ALGEBRAS + [catalog.root_fixture("sl2")[0]],
+                         ids=lambda a: a.name)
+def test_structure_constants_bit_identical_to_the_einsum_commutators(alg):
+    # The commutators come from one batched matmul; the loop einsum they
+    # replaced gives the same bits on every algebra the package builds,
+    # the complex su2 basis included.
+    comm = np.einsum("iab,jbc->ijac", alg.basis, alg.basis)
+    ref, _ = alg.try_coords(comm - np.transpose(comm, (1, 0, 2, 3)))
+    np.testing.assert_array_equal(alg.structure_constants, ref)
+
+
 @pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
 def test_adjoint_matrix_matches_ad_image(name, rng):
     entry = catalog.get_entry(name)

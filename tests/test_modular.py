@@ -49,6 +49,27 @@ def test_is_standard():
     assert not modular.is_standard(StandardSubspace(np.array([[1.0], [0.0]])))
 
 
+def _realified_rule(b):
+    """The rank test on the 2n real columns of b and ib."""
+    return not numkit.nullity(np.hstack([modular._realify(b), modular._realify(1j * b)]))
+
+
+def test_is_standard_matches_the_realified_rank_rule(rng):
+    # The stack [b, ib] has b's singular values, each twice, so b's nullity
+    # decides the same way: random, scaled and rank-deficient bases.
+    verdicts = set()
+    for n in (1, 2, 3, 5, 8, 13):
+        for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+            for rank in {n, n - 1, max(n - 3, 0)}:
+                b = (rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))) @ (
+                    rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n)))
+                b = scale * b
+                verdict = modular.is_standard(StandardSubspace(b))
+                assert verdict == _realified_rule(b), (n, scale, rank)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_modular_pair_rejects_nonstandard():
     with pytest.raises(NotStandard):
         modular.modular_pair(StandardSubspace(np.array([[1.0, 1j], [0.0, 0.0]])))

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grade3 import catalog, numkit
 from grade3.errors import BranchCutError, NotSelfAdjoint
@@ -204,6 +209,115 @@ def test_solve_lstsq_residual_never_exceeds_rhs(rng):
         b = rng.normal(size=6)
         _, res = numkit.solve_lstsq(a, b)
         assert res <= np.linalg.norm(b) + 1e-12
+
+
+def test_nnls_small_cases():
+    a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    x, rnorm = numkit.nnls(a, np.array([2.0, 1.0, 1.0]))
+    np.testing.assert_allclose(x, [1.5, 1.0], rtol=1e-15)
+    assert rnorm == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    # b in the polar cone: x = 0, and the norm is math.hypot's to the bit
+    b = np.array([-1.0, -1.0, -1.0])
+    x, rnorm = numkit.nnls(a, b)
+    assert x.tolist() == [0.0, 0.0] and rnorm == math.hypot(*b.tolist())
+
+
+def test_nnls_without_columns_measures_the_origin():
+    x, rnorm = numkit.nnls(np.zeros((3, 0)), np.array([3.0, 4.0, 12.0]))
+    assert x.shape == (0,) and rnorm == 13.0
+    # hypot does not underflow where the plain sum of squares would
+    tiny = np.array([1e-200, 1e-200])
+    assert numkit.nnls(np.zeros((2, 0)), tiny)[1] == math.hypot(*tiny.tolist())
+
+
+def test_nnls_residual_is_exactly_zero_in_the_span():
+    # the solve's own residual, not a recomputed b - a x, which would read
+    # about 1e-7 here at scale 1e9 and fail the absolute membership gate
+    a = np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])  # solvable's generators
+    square = np.array([[1.0, 0.5], [0.25, 1.0]])
+    rng = np.random.default_rng(3)
+    for scale in (1e-200, 1.0, 1e9, 1e200):
+        for _ in range(20):
+            u = np.abs(rng.normal(size=2))
+            assert numkit.nnls(a, scale * (a @ u))[1] == 0.0
+            assert numkit.nnls(square, scale * (square @ u))[1] == 0.0
+
+
+def test_nnls_takes_a_column_that_b_barely_needs():
+    # b's entries span 31 orders of magnitude: the small first entry still
+    # brings its column in, so only the 3e-16 off the span remains
+    a = np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
+    b = np.array([0.8283156502165506, -5.776721347430205e15, 3.3306690738754696e-16])
+    x, rnorm = numkit.nnls(a, b)
+    assert (x > 0.0).all() and rnorm == b[2]
+
+
+def test_nnls_scales_exactly_with_b():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(5, 3))
+    for _ in range(20):
+        b = rng.normal(size=5)
+        x, rnorm = numkit.nnls(a, b)
+        for s in (2.0**-900, 2.0**900):
+            xs, rs = numkit.nnls(a, s * b)
+            assert rs == s * rnorm
+            np.testing.assert_array_equal(xs, s * x)
+
+
+@st.composite
+def _nnls_problems(draw):
+    """(a, b) with m <= 8 rows and 0 to 8 columns.  a has small-integer
+    entries, some columns repeated and, at random, a low-rank integer mix,
+    all scaled by a power of ten; b has float entries.  Integer columns are
+    never nearly parallel without being parallel, so every instance has a
+    well-defined optimum at double precision."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    a = np.array(draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)),
+                 dtype=float).reshape(m, n)
+    if n >= 2:
+        for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                      max_size=2)):
+            a[:, dst] = a[:, src]
+        k = draw(st.integers(1, n))
+        if k < n:
+            mix = draw(st.lists(st.integers(-2, 2), min_size=k * n, max_size=k * n))
+            a = a[:, :k] @ np.array(mix, dtype=float).reshape(k, n)
+    a *= 10.0 ** draw(st.integers(-3, 3))
+    entry = st.floats(-1e3, 1e3, allow_subnormal=False)
+    b = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+    return a, b
+
+
+def _kkt_defect(a, b, x) -> float:
+    """Largest violation of the optimality conditions of x: the gradient
+    w = a^T (b - a x) must be <= 0 everywhere and 0 where x > 0."""
+    w = a.T @ (b - a @ x)
+    return max(w.max(initial=0.0), np.abs(w[x > 0]).max(initial=0.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_nnls_problems())
+def test_nnls_is_optimal_and_agrees_with_scipy(problem):
+    a, b = problem
+    x, rnorm = numkit.nnls(a, b)
+    assert x.shape == (a.shape[1],) and (x >= 0.0).all()
+    # Roundoff in the residual grows with ||a|| ||x||, which exceeds ||b||
+    # when dependent columns cancel.
+    size = max(1.0, float(np.linalg.norm(b)), float(np.linalg.norm(a) * np.linalg.norm(x)))
+    assert abs(rnorm - float(np.linalg.norm(b - a @ x))) <= 1e-12 * size
+    assert _kkt_defect(a, b, x) <= 1e-10 * max(1.0, float(np.linalg.norm(a))) * size
+    if a.shape[1] == 0:  # scipy's nnls aborts the interpreter on no columns
+        assert rnorm == math.hypot(*b.tolist())
+        return
+    try:
+        xs, ref = scipy.optimize.nnls(a, b)
+    except RuntimeError:  # scipy ran out of iterations
+        return
+    size = max(size, float(np.linalg.norm(a) * np.linalg.norm(xs)))
+    if _kkt_defect(a, b, xs) <= 1e-10 * max(1.0, float(np.linalg.norm(a))) * size:
+        assert abs(rnorm - ref) <= 1e-12 * size
+    else:  # scipy's answer is not optimal: ours is at least as close
+        assert rnorm <= float(np.linalg.norm(a @ xs - b)) + 1e-12 * size
 
 
 def test_hermitian_defect():
