@@ -168,7 +168,8 @@ class LieAlgebraSpec:
 class Grading:
     """Spectral data of a 3-grading: projectors onto the ad(h) eigenspaces
     for eigenvalues -1, 0, +1 and the induced involution tau = P0 - P- - P+.
-    The representing matrix of h is built on first use and then kept."""
+    The representing matrix of h and the nilpotency bound of g^{+-1} are
+    built on first use and then kept."""
 
     def __init__(self, algebra: LieAlgebraSpec, h, p_minus, p_zero, p_plus):
         self.algebra = algebra
@@ -187,6 +188,30 @@ class Grading:
     @functools.cached_property
     def h_matrix(self) -> np.ndarray:
         return self.algebra.to_matrix(self.h)
+
+    @functools.cached_property
+    def nilpotency_bound(self) -> int:
+        """Length k of the longest chain lambda, lambda + 1, ... in the
+        clustered spectrum of h_matrix, each step matched within a quarter.
+        [H, X] = +-X moves each generalized eigenspace of H one step, so
+        X^k = 0 for every x in g^{+1} or g^{-1}.  Computed on first use."""
+        vals = numkit.eigvals_clustered(self.h_matrix)
+        k, level = 0, vals
+        while level.size:  # level: the values k steps up some chain
+            k += 1
+            level = vals[(np.abs(level[:, None] + 1.0 - vals) < 0.25).any(axis=0)]
+        return k
+
+    def unipotent(self, x) -> np.ndarray:
+        """exp(X), X = to_matrix(x), for x in g^{+1} or g^{-1}: the Taylor
+        sum of X^j / j! over j < nilpotency_bound, which terminates there,
+        in Horner form I + X (I + X/2 (I + ...))."""
+        m = self.algebra.to_matrix(x)
+        eye = np.eye(len(m))
+        out = eye
+        for j in range(self.nilpotency_bound - 1, 0, -1):
+            out = eye + m @ out / j
+        return out
 
     def projector(self, degree: int) -> np.ndarray:
         return {-1: self.p_minus, 0: self.p_zero, 1: self.p_plus}[degree]

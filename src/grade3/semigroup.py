@@ -6,8 +6,10 @@ parts (w1, w0, w-1), expanding w = e^{ad x-}(h + y) for y in g^1 gives
 w0 = h + [x-, y] and w-1 = (1/2)(I - ad w0) x-, so x- solves a linear system
 on g^{-1}; x+ is then read off from Ad(g1^{-1})h = h + x+, g1 = exp(-x-) g.
 The order g = exp(x+) g0 exp(x-) is its mirror, g^{-1} = exp(-x-) g0^{-1}
-exp(-x+).  The Olshanski-type polar factorization g0 exp(x) comes from the
-principal log of sharp(g) g.
+exp(-x+).  x+- lies in g^{+-1}, so its matrix is nilpotent and exp(-x+-) is
+a terminating sum (Grading.unipotent): the factorization makes no matrix
+exponential.  The Olshanski-type polar factorization g0 exp(x) comes from
+the principal log of sharp(g) g.
 """
 
 from __future__ import annotations
@@ -83,11 +85,11 @@ def member_P(g: GroupElement, grading: Grading, sign: int,
     return tol.accepts(np.linalg.norm(off), np.linalg.norm(r))
 
 
-def _inverse_factor(alg, x, which: str) -> np.ndarray:
-    """The matrix exp(-x), inverse of the factor exp(x), refusing a
-    diverging x."""
+def _inverse_factor(grading: Grading, x, which: str) -> np.ndarray:
+    """The matrix exp(-x), inverse of the factor exp(x) for x in g^{+1} or
+    g^{-1}: a terminating sum (Grading.unipotent), refusing a diverging x."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m = numkit.expm(alg.to_matrix(-x))
+        m = grading.unipotent(-x)
     if not np.isfinite(m).all():
         raise NotInOpenCell(f"{which} factor exp(-x) overflows")
     return m
@@ -127,7 +129,7 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     scale = float(np.linalg.norm(w))
 
     try:
-        g1 = GroupElement(alg, _inverse_factor(alg, x_minus, "leading") @ g.matrix)
+        g1 = GroupElement(alg, _inverse_factor(grading, x_minus, "leading") @ g.matrix)
         r = ad_image(g1, grading, tol) - h
         tol.check(np.linalg.norm(r - grading.part(r, 1)), scale,
                   NotInOpenCell, "residual conjugation does not reach h + g^{-lead}")
@@ -135,7 +137,7 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
         # Trailing factor from Ad(g1^{-1})h = h + x+.  Its off-degree part
         # needs no gate of its own: g0 fixes h only if it vanishes.
         x_plus = grading.part(ad_image(g1.inverse(), grading, tol) - h, 1)
-        g0 = GroupElement(alg, g1.matrix @ _inverse_factor(alg, x_plus, "trailing"))
+        g0 = GroupElement(alg, g1.matrix @ _inverse_factor(grading, x_plus, "trailing"))
         tol.check(np.linalg.norm(ad_image(g0, grading, tol) - h), scale,
                   NotInOpenCell, "middle factor does not fix h")
     except (AdjointOutOfSpan, np.linalg.LinAlgError) as exc:

@@ -428,9 +428,10 @@ def test_polar_of_a_large_element_writes_nothing_to_stderr():
 
 
 # scipy.linalg loads where a computation first needs it, with the first
-# exponential or log.  Catalog builds and the grade, member and roots verbs
-# do not need it.  scipy.optimize never loads: polyhedral membership runs on
-# numkit's numpy nnls, in member on solvable and all through verify.  A
+# exponential or log.  Catalog builds, the grade, member, roots and factor
+# verbs and member_decomposed do not need it: the open-cell factors are
+# terminating sums.  scipy.optimize never loads: polyhedral membership runs
+# on numkit's numpy nnls, in member on solvable and all through verify.  A
 # fresh interpreter sees each step.
 _IMPORT_STEPS = """
 import contextlib, io, sys
@@ -459,6 +460,14 @@ for name in catalog.ROOT_FIXTURE_NAMES:
     run("roots", "--demo", name)
 assert loaded() == set(), loaded()
 run("factor", "--demo", "sl2", "--g", "[[2,1],[1,1]]")
+run("factor", "--demo", "poincare3", "--g", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]")
+from grade3.liealg import GroupElement
+from grade3.semigroup import member_decomposed
+sl2 = catalog.get_entry("sl2")
+assert member_decomposed(GroupElement(sl2.algebra, np.array([[2.0, 1.0], [1.0, 1.0]])),
+                         sl2.grading, sl2.cone)
+assert loaded() == set(), loaded()
+run("polar", "--demo", "sl2", "--g", "[[2,1],[1,1]]")
 assert loaded() == {"scipy", "scipy.linalg"}, loaded()
 cone = catalog.get_entry("solvable").cone
 cone.violation(np.ones(cone.ambient_dim))

@@ -6,6 +6,7 @@ these three brackets.
 """
 
 import copy
+import functools
 import tracemalloc
 
 import numpy as np
@@ -410,3 +411,91 @@ def test_brackets_match_the_optimized_einsum_bit_for_bit(name):
             got = brackets(c, u, v)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (di, dj)
+
+
+# nilpotency bound of each catalog grading: the longest chain lambda,
+# lambda + 1, ... in the spectrum of h's representing matrix
+NILPOTENCY_BOUNDS = {"sl2": 2, "poincare3": 3, "poincare4": 3, "poincare5": 3,
+                     "poincare6": 3, "jacobi1": 2, "jacobi2": 2, "jacobi3": 2,
+                     "solvable": 3}
+
+
+@functools.cache
+def _adjoint_grading(name):
+    """The grading of entry name in its adjoint representation, where
+    h_matrix = ad(h) has spectrum {-1, 0, 1}; every entry is centreless, so
+    the representation is faithful."""
+    entry = catalog.get_entry(name)
+    alg = entry.algebra
+    return grade_by(LieAlgebraSpec(name, [alg.ad(b) for b in np.eye(alg.dim)]),
+                    entry.grading.h)
+
+
+def _gradings(name):
+    return (catalog.get_entry(name).grading, _adjoint_grading(name))
+
+
+def _graded_draws(name, rng):
+    """(degree, x) with x in g^{+1} or g^{-1} at norms 0.5, 2, 5 and 10,
+    projected by the catalog grading so that both representations exponentiate
+    the same coefficient vectors."""
+    grading = catalog.get_entry(name).grading
+    for degree in (1, -1):
+        for norm in (0.5, 2.0, 5.0, 10.0):
+            for _ in range(5):
+                x = grading.part(rng.normal(size=grading.algebra.dim), degree)
+                yield degree, x * (norm / np.linalg.norm(x))
+
+
+def test_nilpotency_bounds_of_the_catalog():
+    for name, k in NILPOTENCY_BOUNDS.items():
+        assert catalog.get_entry(name).grading.nilpotency_bound == k, name
+        assert _adjoint_grading(name).nilpotency_bound == 3, name
+
+
+def test_nilpotency_bound_is_computed_on_first_use(sl2):
+    g = grade_by(sl2.algebra, sl2.grading.h)
+    assert "nilpotency_bound" not in vars(g)
+    assert g.nilpotency_bound == 2 and "nilpotency_bound" in vars(g)
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_unipotent_matches_scipy_expm(name):
+    # The sum is exact for a nilpotent X.  The projector's roundoff leaves x
+    # off its degree by E, so that X^k is of order |E| |X|^(k-1) rather than
+    # 0, and the terms the sum leaves out hold one factor E each and at most
+    # 2k - 2 factors X; without that slack jacobi1's catalog grading misses
+    # by 196 units of roundoff at |x| = 10.
+    entry = catalog.get_entry(name)
+    for grading in _gradings(name):
+        alg, k = grading.algebra, grading.nilpotency_bound
+        for degree, x in _graded_draws(name, np.random.default_rng(7)):
+            m = alg.to_matrix(x)
+            off = np.linalg.norm(alg.to_matrix(x - entry.grading.part(x, degree)))
+            n = np.linalg.norm(m)
+            bound = 16 * EPS * (1.0 + n ** (k - 1)) + off * (1.0 + n) ** (2 * k - 2)
+            err = np.abs(grading.unipotent(x) - scipy.linalg.expm(m)).max()
+            assert err <= bound, (alg.rep_dim, degree, n, err / bound)
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_unipotent_of_minus_x_is_the_inverse(name):
+    for grading in _gradings(name):
+        k = grading.nilpotency_bound
+        for _, x in _graded_draws(name, np.random.default_rng(8)):
+            m = grading.algebra.to_matrix(x)
+            scale = (1.0 + np.linalg.norm(m) ** (k - 1)) ** 2
+            err = np.abs(grading.unipotent(x) @ grading.unipotent(-x) - np.eye(len(m))).max()
+            assert err <= 16 * EPS * scale, (grading.algebra.rep_dim, err / (EPS * scale))
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_nilpotency_bound_covers_the_measured_index(name):
+    # the index is the first power of X that vanishes to roundoff
+    for grading in _gradings(name):
+        for _, x in _graded_draws(name, np.random.default_rng(9)):
+            m = grading.algebra.to_matrix(x / np.linalg.norm(x))
+            power, index = np.eye(len(m)), 0
+            while np.abs(power).max() > 1e3 * EPS * (1.0 + np.abs(m).max()) ** index:
+                power, index = m @ power, index + 1
+            assert index <= grading.nilpotency_bound

@@ -252,6 +252,18 @@ def test_nnls_takes_a_column_that_b_barely_needs():
     assert (x > 0.0).all() and rnorm == b[2]
 
 
+@pytest.mark.xfail(strict=True, reason="nnls stops short on nearly parallel "
+                   "columns: the third column's gradient, about 6e-16, lies "
+                   "below its roundoff bound in the recomputed residual")
+def test_nnls_finds_the_exact_fit_beside_a_nearly_parallel_column():
+    # x = [0, 0, 1/3] fits exactly; nnls stops at [1/6, 0, 0], residual 1.41e-8
+    a = np.array([[-6.0, 0.0, -3.0], [-5.99999988, 0.0, -3.0]])
+    b = np.array([-1.0, -1.0])
+    x, rnorm = numkit.nnls(a, b)
+    assert rnorm <= 1e-15
+    np.testing.assert_allclose(x, [0.0, 0.0, 1.0 / 3.0], atol=1e-15)
+
+
 def test_nnls_scales_exactly_with_b():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(5, 3))

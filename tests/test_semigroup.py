@@ -14,6 +14,7 @@ from grade3.cones import graded_parts
 from grade3.errors import AdjointOutOfSpan, BranchCutError, NotInOpenCell, NotPolar
 from grade3.liealg import GroupElement, ad_image
 from grade3.semigroup import (
+    _inverse_factor,
     member_P,
     member_ShC,
     member_decomposed,
@@ -185,21 +186,38 @@ def test_polar_domain_draws_outside_the_principal_strip_are_refused(poincare3):
     assert refusals == 22
 
 
+# (entry, draw index, message) of '+0-' draws at sampler scale 10 whose
+# factors diverge.  The sums exp(-x) stay finite; the gates and the
+# conjugations downstream refuse the factorization.
+DIVERGING_DRAWS = [
+    ("poincare3", 28, r"residual conjugation does not reach h \+ g\^\{-lead\}"),
+    ("poincare3", 144, r"factor verification failed: Singular matrix"),
+    ("poincare5", 142, r"factor verification failed: Singular matrix"),
+    ("poincare5", 265, r"middle factor does not fix h"),
+]
+
+
 def test_diverging_leading_factor_leaves_open_cell():
-    # At sampler scale 10 these '+0-' draws have a factor whose exp(-x)
-    # overflows; that is a failed factorization, not a bad group element.
-    # The poincare5 ones overflow in the trailing factor, which without its
-    # guard would reach GroupElement as a raw ValueError.
-    for name, indices, match in (
-            ("poincare3", (28, 144), r"leading factor exp\(-x\) overflows"),
-            ("poincare5", (142, 265), r"trailing factor exp\(-x\) overflows")):
+    for name, index, match in DIVERGING_DRAWS:
         entry = catalog.get_entry(name)
         rng = np.random.default_rng(0)
-        draws = [catalog.sample_semigroup_element(entry, rng, 10.0)
-                 for _ in range(max(indices) + 1)]
-        for i in indices:
-            with pytest.raises(NotInOpenCell, match=match):
-                triangular_factor(draws[i], entry.grading, "+0-")
+        for _ in range(index + 1):
+            g = catalog.sample_semigroup_element(entry, rng, 10.0)
+        with pytest.raises(NotInOpenCell, match=match):
+            triangular_factor(g, entry.grading, "+0-")
+
+
+def test_overflowing_factor_is_refused(poincare3):
+    # a finite x in g^{+1} whose X^2 overflows: the sum exp(-x) has
+    # non-finite entries, a failed factorization, not a raw ValueError
+    grading = poincare3.grading
+    x = grading.part(np.random.default_rng(3).normal(size=poincare3.algebra.dim), 1)
+    x *= 1e160 / np.linalg.norm(x)
+    assert grading.nilpotency_bound == 3
+    assert np.isfinite(poincare3.algebra.to_matrix(x)).all()
+    for which in ("leading", "trailing"):
+        with pytest.raises(NotInOpenCell, match=f"{which} factor exp\\(-x\\) overflows"):
+            _inverse_factor(grading, x, which)
 
 
 # (entry, draw index, orders) at sampler scale 10: draws that leave the open
@@ -320,8 +338,8 @@ def test_correct_factors_with_off_degree_trailing_roundoff_are_accepted(name, in
 @pytest.mark.parametrize("order", ["+0-", "-0+"])
 def test_factor_does_not_rederive(name, order, monkeypatch):
     # per call: h is never turned into a matrix again (the grading holds its
-    # matrix), the two factors take one exponential each, and the inverses
-    # of g, g1 and g0 are each computed once and then shared
+    # matrix), the two factors are terminating sums with no exponential, and
+    # the inverses of g, g1 and g0 are each computed once and then shared
     from grade3 import liealg, numkit
 
     e = catalog.get_entry(name)
@@ -347,7 +365,7 @@ def test_factor_does_not_rederive(name, order, monkeypatch):
     counts.update(h=0, expm=0, inv=0)  # the sampler's own exponentials
     triangular_factor(g, e.grading, order)
     assert counts["h"] == 0
-    assert counts["expm"] == 2
+    assert counts["expm"] == 0
     assert counts["inv"] <= 3
 
 
