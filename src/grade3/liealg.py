@@ -39,7 +39,9 @@ class LieAlgebraSpec:
 
     Coefficient vectors are always real; the representing matrices may be
     complex (e.g. su(2)).  Construction derives structure constants and
-    fails if the basis is dependent or the bracket does not close.
+    fails if the basis is dependent or the bracket does not close.  A real
+    representation (every basis matrix real) builds matrices and solves
+    coordinates of real matrices in real arithmetic.
     """
 
     def __init__(self, name, basis, tau_matrix=None):
@@ -66,6 +68,12 @@ class LieAlgebraSpec:
         if numkit.nullity(self._bstack):
             raise ValueError("basis matrices are linearly dependent")
         self._pinv = np.linalg.pinv(self._bstack)
+        if self._is_real_rep:
+            # The imaginary halves of _bstack and _pinv are exactly zero.  The
+            # map keeps _pinv.T's layout (a C-contiguous transpose): another
+            # layout takes another BLAS path and moves coordinates' last bits.
+            self._basis_flat = self._bstack[:r * r].T
+            self._coord_map = np.ascontiguousarray(self._pinv[:, :r * r]).T
         self._basis_scale = max(1.0, float(np.abs(self.basis).max()))
 
         # Structure constants C[i, j, k]: coordinate k of [b_i, b_j].
@@ -87,17 +95,25 @@ class LieAlgebraSpec:
     def to_matrix(self, x) -> np.ndarray:
         """Representing matrix of the coefficient vector x."""
         x = np.asarray(x, dtype=float)
-        m = np.einsum("i,iab->ab", x, self.basis)
-        return m.real if self._is_real_rep else m
+        if self._is_real_rep:
+            return (x @ self._basis_flat).reshape(self.rep_dim, self.rep_dim)
+        return np.einsum("i,iab->ab", x, self.basis)
 
     def try_coords(self, m):
         """Best real coefficient vector for matrix m and its residual.
 
         m is one (r, r) matrix or a stack (..., r, r); the solve runs along
         the last axis, so a stack gives coefficients (..., dim) and residuals
-        (...)."""
+        (...).  One real matrix in a real representation is solved in real
+        arithmetic.  Otherwise the (real, imaginary) parts are stacked, so an
+        imaginary part counts in the residual; a real stack is stacked too,
+        since its shorter matrix-matrix product would move the last bits."""
         m = np.asarray(m)
         flat = m.reshape(m.shape[:-2] + (-1,))
+        if self._is_real_rep and flat.ndim == 1 and not np.iscomplexobj(flat):
+            v = flat @ self._coord_map
+            d = v @ self._basis_flat - flat
+            return v, np.sqrt((d * d).sum(axis=-1))
         stacked = np.concatenate([flat.real, flat.imag], axis=-1)
         v = stacked @ self._pinv.T
         d = v @ self._bstack.T - stacked
@@ -184,6 +200,7 @@ class Grading:
             int(round(np.trace(p_plus).real)),
         )
         self._bases = {}
+        self._eye = np.eye(algebra.rep_dim)  # unipotent's, held once
 
     @functools.cached_property
     def h_matrix(self) -> np.ndarray:
@@ -204,12 +221,16 @@ class Grading:
 
     def unipotent(self, x) -> np.ndarray:
         """exp(X), X = to_matrix(x), for x in g^{+1} or g^{-1}: the Taylor
-        sum of X^j / j! over j < nilpotency_bound, which terminates there,
-        in Horner form I + X (I + X/2 (I + ...))."""
+        sum of X^j / j! over j < k = nilpotency_bound, which terminates
+        there, in Horner form I + X (I + X/2 (I + ...)), starting at
+        I + X/(k - 1)."""
         m = self.algebra.to_matrix(x)
-        eye = np.eye(len(m))
-        out = eye
-        for j in range(self.nilpotency_bound - 1, 0, -1):
+        k = self.nilpotency_bound
+        if k < 2:
+            return np.eye(len(m))
+        eye = self._eye
+        out = eye + m / (k - 1)
+        for j in range(k - 2, 0, -1):
             out = eye + m @ out / j
         return out
 

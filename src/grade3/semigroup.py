@@ -118,11 +118,13 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
 
     # (I - ad(w0)) x- = 2 w-1, solved on g^{-1}.  An inconsistent system
     # leaves Ad(g1)h off h + g^1, which the gates below refuse, so its
-    # residual is not gated here.
+    # residual is not gated here, nor computed: lstsq is called directly.
     basis = grading.eigenbasis(-1)
     mat = basis.T @ (np.eye(alg.dim) - alg.ad(grading.part(w, 0))) @ basis
     try:
-        sol, _ = numkit.solve_lstsq(mat, basis.T @ (2.0 * grading.part(w, -1)))
+        sol = np.linalg.lstsq(numkit.require_finite(mat),
+                              numkit.require_finite(basis.T @ (2.0 * grading.part(w, -1))),
+                              rcond=None)[0]
     except ValueError as exc:  # the system overflows for a finite w near the float limit
         raise NotInOpenCell(f"system for x- cannot be solved: {exc}") from exc
     x_minus = basis @ sol

@@ -294,6 +294,80 @@ def test_complex_representation_real_coords():
     np.testing.assert_allclose(su2.coords(m), x, atol=1e-12)
 
 
+def _stacked_solve(alg, m):
+    """Reference coordinate solve: real and imaginary parts stacked, against
+    the full pseudoinverse, as complex matrices and representations take."""
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    stacked = np.concatenate([flat.real, flat.imag], axis=-1)
+    v = stacked @ alg._pinv.T
+    d = v @ alg._bstack.T - stacked
+    return v, np.sqrt((d * d).sum(axis=-1))
+
+
+def _conjugates(alg):
+    """g H g^-1 for drawn g at scales 0.5, 2 and 5: H = h's matrix and g a
+    semigroup draw for a catalog entry, a random element and a product of two
+    exponentials otherwise."""
+    rng = np.random.default_rng(11)
+    entry = catalog.get_entry(alg.name) if alg.name in catalog.ENTRY_NAMES else None
+    for scale in (0.5, 2.0, 5.0):
+        for _ in range(20):
+            if entry is not None:
+                g, hm = catalog.sample_semigroup_element(entry, rng, scale), entry.grading.h_matrix
+            else:
+                g = (GroupElement.exp(alg, scale * rng.normal(size=alg.dim))
+                     @ GroupElement.exp(alg, scale * rng.normal(size=alg.dim)))
+                hm = alg.to_matrix(rng.normal(size=alg.dim))
+            yield g.matrix @ hm @ g.inv_matrix
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
+def test_to_matrix_matches_the_complex_einsum_bit_for_bit(alg):
+    rng = np.random.default_rng(10)
+    for scale in (0.5, 2.0, 5.0):
+        x = scale * rng.normal(size=alg.dim)
+        want = np.einsum("i,iab->ab", x, alg.basis)
+        got = alg.to_matrix(x)
+        assert np.iscomplexobj(got) == (alg.name == "su2")
+        assert got.tobytes() == (want if np.iscomplexobj(got) else want.real).tobytes()
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
+def test_coords_of_conjugates_match_the_stacked_solve_bit_for_bit(alg):
+    # the residuals add up r^2 instead of 2 r^2 squares, so their grouping,
+    # and at most their last bits, may differ
+    ms = np.stack(list(_conjugates(alg)))
+    for m in (*ms, ms):  # one by one, then as one stack
+        v, res = alg.try_coords(m)
+        want, want_res = _stacked_solve(alg, m)
+        assert v.tobytes() == want.tobytes()
+        assert (np.abs(res - want_res) <= 4 * np.spacing(want_res)).all()
+
+
+def test_complex_matrix_in_a_real_representation(sl2):
+    # the imaginary part is no coordinate: it is left out of the solve and
+    # counts in full in the residual
+    alg = sl2.algebra
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        a, b = rng.normal(size=(2, 2, 2))
+        v, res = alg.try_coords(a + 1j * b)
+        want, res_a = alg.try_coords(a)
+        np.testing.assert_allclose(v, want, rtol=4 * EPS, atol=4 * EPS)
+        assert res**2 == pytest.approx(res_a**2 + np.linalg.norm(b) ** 2, rel=8 * EPS)
+    x = np.array([0.3, -0.2, 0.9])
+    with pytest.raises(ValueError, match="outside basis span"):
+        alg.coords(1j * alg.to_matrix(x))
+
+
+def test_part_refuses_a_degree_outside_the_grading(sl2):
+    for degree in (-2, 2):
+        with pytest.raises(KeyError):
+            sl2.grading.part([3.0, 4.0, 5.0], degree)
+        with pytest.raises(KeyError):
+            sl2.grading.projector(degree)
+
+
 def test_grade_by_rejects_bracket_leaving_its_degree(sl2):
     # [e, f] = 2h gains an e-component, which lies in g^1 instead of g^0;
     # ad(h) itself is untouched, so only the bracket check can see it
@@ -457,6 +531,17 @@ def test_nilpotency_bound_is_computed_on_first_use(sl2):
     g = grade_by(sl2.algebra, sl2.grading.h)
     assert "nilpotency_bound" not in vars(g)
     assert g.nilpotency_bound == 2 and "nilpotency_bound" in vars(g)
+
+
+def test_trivial_grading_has_bound_one(sl2):
+    # h = 0 grades everything in degree 0; the sum is the identity alone,
+    # with no division by k - 1 = 0, and a fresh array each call
+    g = grade_by(sl2.algebra, np.zeros(3))
+    assert g.dims == (0, 3, 0) and g.nilpotency_bound == 1
+    u = g.unipotent(np.zeros(3))
+    assert u.tobytes() == np.eye(2).tobytes()
+    u[0, 1] = 5.0
+    assert g.unipotent(np.zeros(3)).tobytes() == np.eye(2).tobytes()
 
 
 @pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
