@@ -76,10 +76,12 @@ class LieAlgebraSpec:
             self._coord_map = np.ascontiguousarray(self._pinv[:, :r * r]).T
         self._basis_scale = max(1.0, float(np.abs(self.basis).max()))
 
-        # Structure constants C[i, j, k]: coordinate k of [b_i, b_j].
-        comm = np.matmul(self.basis[:, None], self.basis[None])
-        comm = comm - np.transpose(comm, (1, 0, 2, 3))
-        self.structure_constants, res = self.try_coords(comm)
+        # Structure constants C[i, j, k]: coordinate k of [b_i, b_j], solved
+        # one basis row i at a time: the working set is one (d, r, r) stack.
+        self.structure_constants = np.empty((self.dim,) * 3)
+        res = np.empty((self.dim, self.dim))
+        for i, b in enumerate(self.basis):
+            self.structure_constants[i], res[i] = self.try_coords(b @ self.basis - self.basis @ b)
         DEFAULT_TOL.check(float(res.max()), self._basis_scale**2, ValueError,
                           "bracket does not close over the basis")
         self._ad_tensor = np.ascontiguousarray(
@@ -137,25 +139,33 @@ class LieAlgebraSpec:
     def jacobi_defect(self) -> float:
         """Largest Jacobi-identity residual over basis triples.
 
-        One matrix product of the structure constants, (d^2, d) @ (d, d^2),
-        gives u[i, j, k] = [[b_i, b_j], b_k], and only the triples i < j < k
-        are read.  The constants are exactly antisymmetric (the commutators
-        are formed as an exact difference), so a triple with a repeated index
-        sums to exactly zero and a reordering of a triple only permutes and
-        negates its three terms a = u[i, j, k], b = u[j, k, i], e = u[k, i, j].
-        The largest residual over all orderings is therefore the largest over
-        the three addition pairings (a + b) + e, (b + e) + a, (e + a) + b.
+        With u[p, q, s] = [[b_p, b_q], b_s] = C[p, q] @ C[:, s], the triples
+        i < j < k are read in groups of equal smallest index i.  The constants
+        are exactly antisymmetric (the commutators are formed as an exact
+        difference), so a reordering of a triple only permutes and negates its
+        terms a = u[i, j, k], b = u[j, k, i], e = u[k, i, j] = -u[i, k, j], and
+        the largest residual over all orderings is the largest over the
+        pairings (a + b) + e, (b + e) + a, (e + a) + b.  Group i forms a and b
+        on the grid j, k > i, where cell (k, j) holds -e, -b, -a: so (a + b) + e
+        there covers the first two pairings, and the diagonal sums to zero.
+        The working set is O(d^3) floats, a few (d-i-1, d-i-1, d) arrays.
         Fewer than three basis elements give 0.0.
         """
         c = self.structure_constants
-        d = self.dim
-        r = np.arange(d)
-        i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
-        # u is gathered without being bound, so it is freed before the sums
-        a, b, e = (c.reshape(d * d, d) @ c.reshape(d, d * d)).reshape((d,) * 4)[
-            (i, j, k), (j, k, i), (k, i, j)]
-        return float(max(np.abs(x + y + z).max(initial=0.0)
-                         for x, y, z in ((a, b, e), (b, e, a), (e, a, b))))
+        d = len(c)
+        worst = 0.0
+        for i in range(d - 2):
+            n = d - i - 1
+            a = (c[i, i + 1:] @ c.reshape(d, d * d)[:, (i + 1) * d:]).reshape(n, n, d)
+            b = (c[i + 1:, i + 1:].reshape(n * n, d) @ c[:, i]).reshape(n, n, d)
+            at = a.transpose(1, 0, 2)  # -e
+            s = a + b
+            s -= at
+            worst = max(worst, np.abs(s, out=s).max())
+            np.subtract(a, at, out=s)
+            s += b
+            worst = max(worst, np.abs(s, out=s).max())
+        return float(worst)
 
     def to_json(self) -> dict:
         out = {

@@ -12,8 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grade3 import catalog, numkit
+from grade3 import catalog, numkit, verify
 from grade3.errors import (
     AdjointOutOfSpan,
     NoTauImplementation,
@@ -72,9 +74,9 @@ def test_structure_constants_match_pairwise_solve(alg):
 @pytest.mark.parametrize("alg", ALGEBRAS + [catalog.root_fixture("sl2")[0]],
                          ids=lambda a: a.name)
 def test_structure_constants_bit_identical_to_the_einsum_commutators(alg):
-    # The commutators come from one batched matmul; the loop einsum they
-    # replaced gives the same bits on every algebra the package builds,
-    # the complex su2 basis included.
+    # The commutators come one basis row at a time, b_i B - B b_i; the loop
+    # einsum over all pairs gives the same bits on every algebra the package
+    # builds, the complex su2 basis included.
     comm = np.einsum("iab,jbc->ijac", alg.basis, alg.basis)
     ref, _ = alg.try_coords(comm - np.transpose(comm, (1, 0, 2, 3)))
     np.testing.assert_array_equal(alg.structure_constants, ref)
@@ -137,16 +139,67 @@ def test_jacobi_defect_below_three_dimensions():
         assert LieAlgebraSpec("small", basis).jacobi_defect() == 0.0
 
 
-def test_jacobi_defect_peak_memory():
-    # one d^2 x d^2 product and the rows it reads: no further d^4 temporaries
-    alg = catalog.get_entry("jacobi3").algebra
+def _traced_peak(f):
+    """Peak bytes traced by tracemalloc while f() runs."""
     tracemalloc.start()
     try:
-        alg.jacobi_defect()
-        peak = tracemalloc.get_traced_memory()[1]
+        f()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * alg.dim**4
+
+
+def _antisymmetric(d, rng, integer, kinds):
+    """x - x^T for x supported on the pair rows p < q, each row drawn from
+    kinds: all zero, a single nonzero entry, or dense."""
+    x = rng.integers(-3, 4, size=(d, d, d)) if integer else rng.normal(size=(d, d, d))
+    kind = rng.choice(sorted(kinds), size=(d, d))
+    single = np.arange(d) == rng.integers(0, max(d, 1), size=(d, d, 1))
+    keep = (kind == "dense")[..., None] | ((kind == "single")[..., None] & single)
+    x = np.where(keep & np.triu(np.ones((d, d), bool), 1)[..., None], x, 0)
+    return (x - x.transpose(1, 0, 2)).astype(float)
+
+
+def test_jacobi_defect_peak_memory():
+    # the triples grouped by smallest index: a few (d, d, d) arrays at most,
+    # on jacobi3 and on a dense tensor of its size, where no bracket is zero
+    alg = copy.copy(catalog.get_entry("jacobi3").algebra)
+    d = alg.dim
+    dense = _antisymmetric(d, np.random.default_rng(3), False, {"dense"})
+    for c in (alg.structure_constants, dense):
+        alg.structure_constants = c
+        assert _traced_peak(alg.jacobi_defect) <= 16 * 8 * d**3
+
+
+def test_structure_constants_peak_memory():
+    # one basis row of commutators at a time: the constants and their
+    # transposed copy (2 d^3 floats) dominate, not a (d, d, r, r) stack
+    basis = catalog.get_entry("jacobi3").algebra.basis.real
+    d = len(basis)
+    assert _traced_peak(lambda: LieAlgebraSpec("jacobi3", list(basis))) <= 4 * 8 * d**3
+
+
+def test_grading_suite_peak_memory():
+    # the Jacobi check of all nine entries inside the suite stays cubic in
+    # the largest dimension; the catalog is built beforehand
+    d = max(catalog.get_entry(n).algebra.dim for n in catalog.ENTRY_NAMES)
+    peak = _traced_peak(lambda: verify.run_suite("grading", seed=0, samples=1))
+    assert peak <= 16 * 8 * d**3
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), integer=st.booleans(),
+       kinds=st.sets(st.sampled_from(["zero", "single", "dense"]), min_size=1))
+def test_jacobi_defect_of_random_antisymmetric_tensors(jacobi1, d, seed, integer, kinds):
+    # zero pair rows, single-entry rows and dense rows in any mix; integer
+    # entries keep every sum exact, so both routes agree to the bit
+    alg = copy.copy(jacobi1.algebra)
+    alg.structure_constants = _antisymmetric(d, np.random.default_rng(seed), integer, kinds)
+    ref = _jacobi_reference(alg.structure_constants) if d else 0.0
+    if integer:
+        assert alg.jacobi_defect() == ref
+    else:
+        assert alg.jacobi_defect() == pytest.approx(ref, rel=1e-12)
 
 
 def test_ad_matrix(sl2):
