@@ -34,7 +34,6 @@ from .modular import (
     log_integral,
     log_monotone_check,
     modular_pair,
-    qform_log,
     random_standard_subspace,
     standard_from_pair,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "member_decomposed",
     "modular_pair",
     "polar_factor",
-    "qform_log",
     "random_standard_subspace",
     "root_decomposition",
     "run_suite",

@@ -82,11 +82,11 @@ def _finish(name, description, algebra, h, cone, extras=None) -> CatalogEntry:
 
 def sl2_member_direct(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Closed-form compression test for sl2: with g = [[a, b], [c, d]],
-    membership amounts to ab >= 0, cd >= 0 and bc >= 0."""
-    a, b = g.matrix[0]
-    c, d = g.matrix[1]
-    slack = tol.gate(float(np.abs(g.matrix).max()) ** 2)
-    return bool(a * b >= -slack and c * d >= -slack and b * c >= -slack)
+    membership amounts to ab >= 0, cd >= 0 and bc >= 0, each shortfall
+    gated at the squared scale of g, so a product overflowing to -inf fails."""
+    (a, b), (c, d) = g.matrix.tolist()
+    scale = float(np.abs(g.matrix).max())
+    return all(tol.accepts(max(0.0, -p), scale * scale) for p in (a * b, c * d, b * c))
 
 
 def build_sl2() -> CatalogEntry:

@@ -76,11 +76,6 @@ class DomainError(Grade3Error):
     Re z <= 0)."""
 
 
-class NotPositiveDefinite(Grade3Error):
-    """Quadratic-form logarithm of a matrix with spectrum not bounded away
-    from zero."""
-
-
 class PreconditionViolated(Grade3Error):
     """Monotonicity check invoked on operators that are not Loewner-ordered."""
 

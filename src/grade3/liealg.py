@@ -82,7 +82,7 @@ class LieAlgebraSpec:
         res = np.empty((self.dim, self.dim))
         for i, b in enumerate(self.basis):
             self.structure_constants[i], res[i] = self.try_coords(b @ self.basis - self.basis @ b)
-        DEFAULT_TOL.check(float(res.max()), self._basis_scale**2, ValueError,
+        DEFAULT_TOL.check(float(res.max()), self._basis_scale * self._basis_scale, ValueError,
                           "bracket does not close over the basis")
         self._ad_tensor = np.ascontiguousarray(
             np.transpose(self.structure_constants, (0, 2, 1))

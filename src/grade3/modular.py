@@ -19,8 +19,6 @@ from . import numkit
 from .errors import (
     DomainError,
     ModularRelationViolated,
-    NotPositiveDefinite,
-    NotSelfAdjoint,
     NotStandard,
     PreconditionViolated,
 )
@@ -36,7 +34,6 @@ __all__ = [
     "random_ordered_pair",
     "graph_projection",
     "log_integral",
-    "qform_log",
     "log_monotone_check",
     "subspace_contained",
 ]
@@ -134,26 +131,29 @@ def modular_pair(v: StandardSubspace, tol: Tolerance = DEFAULT_TOL) -> ModularPa
     delta = (vh.conj().T * sig**2) @ vh
     delta = delta.conj()
     pair = ModularPair(delta=delta, j_unitary=u_j)
-    size = float(np.abs(delta).max())
-    tol.check(_modular_defect(pair), size**2, ModularRelationViolated,
-              "modular relation defect")
+    size = _check_modular_relation(pair, tol)
     recovered = _fixed_space(a, v.n)
     tol.check(subspace_gap_standard(v, StandardSubspace(recovered)), size,
               ModularRelationViolated, "Fix(J Delta^{1/2}) misses V")
     return pair
 
 
-def _modular_defect(pair: ModularPair) -> float:
-    """Worst violation among J^2 = 1, unitarity and J Delta J Delta = 1."""
+def _check_modular_relation(pair: ModularPair, tol: Tolerance) -> float:
+    """The modular-relation gate: the worst violation among J^2 = 1,
+    unitarity and J Delta J Delta = 1 must pass tol at the squared scale of
+    Delta's largest entry (ModularRelationViolated otherwise).  Returns that
+    largest entry."""
     u, d = pair.j_unitary, pair.delta
     n = u.shape[0]
     eye = np.eye(n)
     out = float(np.abs(u @ u.conj().T - eye).max())
     out = max(out, float(np.abs(u @ u.conj() - eye).max()))
-    out = max(out, float(np.abs(numkit.hermitian_defect(d))))
+    out = max(out, numkit.hermitian_defect(d))
     jdj = u @ d.conj() @ u.conj()
     out = max(out, float(np.abs(jdj @ d - eye).max()))
-    return out
+    size = float(np.abs(d).max(initial=0.0))
+    tol.check(out, size * size, ModularRelationViolated, "modular relation defect")
+    return size
 
 
 def _fixed_space(a: np.ndarray, n: int) -> np.ndarray:
@@ -171,14 +171,11 @@ def standard_from_pair(pair: ModularPair, tol: Tolerance = DEFAULT_TOL) -> Stand
     numkit.require_finite(u, "j_unitary")
     numkit.require_finite(d, "delta")
     n = u.shape[0]
-    size = float(np.abs(d).max(initial=0.0))
-    tol.check(numkit.hermitian_defect(d), size, ModularRelationViolated,
-              "delta is not self-adjoint")
+    numkit.check_self_adjoint(d, tol, ModularRelationViolated, "delta is not self-adjoint")
     evals, evecs = np.linalg.eigh((d + d.conj().T) / 2)
     if evals.min() <= tol.value:
         raise ModularRelationViolated("delta is not positive definite")
-    tol.check(_modular_defect(pair), size**2, ModularRelationViolated,
-              "modular relation defect")
+    _check_modular_relation(pair, tol)
     sqrt_d = (evecs * np.sqrt(evals)) @ evecs.conj().T
     a = u @ sqrt_d.conj()
     v = StandardSubspace(_fixed_space(a, n))
@@ -243,7 +240,8 @@ def graph_projection(s, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     gram_inv = np.linalg.inv(np.eye(n) + s.conj().T @ s)
     # [p11, p12] against (1 + S*S)^{-1} [1, S*]
     closed = gram_inv @ np.hstack([np.eye(n), s.conj().T])
-    tol.check(np.abs(p[:n] - closed).max(), float(np.abs(s).max(initial=0.0)) ** 2,
+    size = float(np.abs(s).max(initial=0.0))
+    tol.check(np.abs(p[:n] - closed).max(), size * size,
               ArithmeticError, "graph projection disagrees with its closed form")
     return p
 
@@ -263,35 +261,22 @@ def log_integral(z: complex) -> complex:
     return complex(val)
 
 
-def qform_log(a, xi, tol: Tolerance = DEFAULT_TOL) -> float:
-    """<xi, log(A) xi> through the spectral decomposition of A."""
-    a = numkit.require_finite(a, "matrix")
-    xi = np.asarray(xi, dtype=complex)
-    tol.check(numkit.hermitian_defect(a), float(np.abs(a).max(initial=0.0)),
-              NotSelfAdjoint, "qform_log needs a self-adjoint matrix")
-    evals, evecs = np.linalg.eigh((a + a.conj().T) / 2)
-    if evals.min() <= tol.value:
-        raise NotPositiveDefinite(f"spectrum reaches {evals.min():.3e}")
-    weights = np.abs(evecs.conj().T @ xi) ** 2
-    return float(np.sum(np.log(evals) * weights))
-
-
 def log_monotone_check(a, b, trials: int = 100, tol: Tolerance = DEFAULT_TOL,
                        rng: np.random.Generator | None = None) -> dict:
     """Sampled operator-monotonicity certificate for log on [A, B].
 
     Requires 0 < A <= B (PreconditionViolated otherwise).  Checks the
-    quadratic-form margin qform_log(B, xi) - qform_log(A, xi) on random unit
-    vectors and the resolvent step -(x+A)^{-1} <= -(x+B)^{-1} on the grid
-    x in {0, 0.1, 1, 10}.
+    quadratic-form margin <xi, log(B) xi> - <xi, log(A) xi>, each form taken
+    through the spectral decomposition of its matrix, on random unit vectors
+    and the resolvent step -(x+A)^{-1} <= -(x+B)^{-1}, whose Loewner margin
+    is loewner_margin(rb, ra), on the grid x in {0, 0.1, 1, 10}.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     for name, mat in (("A", a), ("B", b)):
-        tol.check(numkit.hermitian_defect(mat), float(np.abs(mat).max(initial=0.0)),
-                  PreconditionViolated, f"{name} is not self-adjoint")
+        numkit.check_self_adjoint(mat, tol, PreconditionViolated, f"{name} is not self-adjoint")
     if not numkit.loewner_leq(a, b, tol):
         raise PreconditionViolated("A <= B fails in the Loewner order")
     evals_a, evecs_a = np.linalg.eigh((a + a.conj().T) / 2)
@@ -311,9 +296,8 @@ def log_monotone_check(a, b, trials: int = 100, tol: Tolerance = DEFAULT_TOL,
         eye = np.eye(n)
         ra = np.linalg.inv(x * eye + a)
         rb = np.linalg.inv(x * eye + b)
-        diff = ra - rb  # -(x+A)^{-1} <= -(x+B)^{-1} iff this is psd
-        diff = (diff + diff.conj().T) / 2
-        resolvent_min = min(resolvent_min, float(np.linalg.eigvalsh(diff).min()))
+        # -(x+A)^{-1} <= -(x+B)^{-1} iff (x+B)^{-1} <= (x+A)^{-1}
+        resolvent_min = min(resolvent_min, numkit.loewner_margin(rb, ra))
     ok = bool(min_margin >= -tol.value and resolvent_min >= -tol.value)
     return {
         "trials": int(trials),

@@ -7,7 +7,10 @@ order, eigenvalue clustering, adaptive Gauss-Legendre quadrature, and the
 JSON matrix and complex-vector codecs.  It owns the tolerance policy: every
 residual gate is decided by Tolerance.check (raise) or Tolerance.accepts
 (bool) against Tolerance.gate, which floors the data scale at 1; an
-infinite or NaN residual never passes.  The rank cutoff
+infinite or NaN residual never passes.  It owns two Hermitian-operator
+facts: check_self_adjoint is the one self-adjointness gate, and
+loewner_margin, the smallest eigenvalue of the Hermitian part of b - a, the
+one Loewner margin.  The rank cutoff
 RANK_RTOL and the eigenvalue gap CLUSTER_GAP are fixed.  logm_principal owns
 a log's real part: a real matrix clear of the branch cut has a real
 principal log.  scipy.linalg is imported on first use, by expm and
@@ -41,6 +44,8 @@ __all__ = [
     "solve_lstsq",
     "nnls",
     "hermitian_defect",
+    "check_self_adjoint",
+    "loewner_margin",
     "loewner_leq",
     "null_space",
     "nullity",
@@ -316,20 +321,31 @@ def hermitian_defect(a) -> float:
     return float(np.abs(a - a.conj().T).max(initial=0.0))
 
 
+def check_self_adjoint(a, tol: Tolerance, error: type, what: str) -> None:
+    """The self-adjointness gate: raise error(what) unless hermitian_defect(a)
+    passes tol at the scale of a's largest entry."""
+    tol.check(hermitian_defect(a), float(np.abs(a).max(initial=0.0)), error, what)
+
+
+def loewner_margin(a, b) -> float:
+    """Smallest eigenvalue of the Hermitian part of b - a: a <= b in the
+    Loewner order exactly when it is >= 0."""
+    diff = b - a
+    diff = (diff + diff.conj().T) / 2
+    return float(np.linalg.eigvalsh(diff).min())
+
+
 def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Decide a <= b in the Loewner order: b - a has smallest eigenvalue
-    >= -tol.value.  Raises NotSelfAdjoint if either argument is not
+    """Decide a <= b in the Loewner order: loewner_margin(a, b) >=
+    -tol.value.  Raises NotSelfAdjoint if either argument is not
     self-adjoint within tolerance."""
     a = require_finite(a)
     b = require_finite(b)
     if a.shape != b.shape:
         raise ValueError("shape mismatch in Loewner comparison")
     for name, m in (("first", a), ("second", b)):
-        tol.check(hermitian_defect(m), float(np.abs(m).max(initial=0.0)),
-                  NotSelfAdjoint, f"{name} argument is not self-adjoint")
-    diff = b - a
-    diff = (diff + diff.conj().T) / 2
-    return bool(np.linalg.eigvalsh(diff).min() >= -tol.value)
+        check_self_adjoint(m, tol, NotSelfAdjoint, f"{name} argument is not self-adjoint")
+    return loewner_margin(a, b) >= -tol.value
 
 
 def _rank(s, rtol: float) -> int:

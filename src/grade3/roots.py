@@ -119,7 +119,7 @@ def root_decomposition(algebra: LieAlgebraSpec, cartan,
     scale = float(np.abs(t_mat).max())
     for i in range(k):
         for j in range(i + 1, k):
-            tol.check(np.abs(algebra.bracket(t_mat[i], t_mat[j])).max(), scale**2,
+            tol.check(np.abs(algebra.bracket(t_mat[i], t_mat[j])).max(), scale * scale,
                       NotCartan, "cartan subalgebra is not abelian")
 
     ads = np.stack([algebra.ad(t).astype(complex) for t in t_mat])

@@ -56,6 +56,15 @@ def test_sl2_closed_form_agrees(sl2, rng):
         assert direct(g) == semigroup.member_ShC(g, sl2.grading, sl2.cone)
 
 
+def test_sl2_closed_form_at_an_overflowed_squared_scale(sl2):
+    # g's squared scale overflows to inf, and with it the slack; a product
+    # that overflows to -inf still fails, as it does at every scale
+    direct = sl2.extras["member_direct"]
+    s = 1e160
+    assert direct(GroupElement(sl2.algebra, np.diag([s, 1.0 / s])))
+    assert not direct(GroupElement(sl2.algebra, np.array([[s, -s], [0.0, 1.0 / s]])))
+
+
 def test_poincare_frozen_members(poincare3):
     translation = poincare3.extras["translation"]
     grading, cone = poincare3.grading, poincare3.cone

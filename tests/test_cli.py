@@ -792,6 +792,32 @@ def test_zero_tolerance_reports_a_zero_gate_at_overflowed_scale(capsys):
     assert payload["detail"].endswith("above gate 0.000e+00 at scale inf")
 
 
+# Past 1e154 a squared data scale overflows to inf, which the gates judge: the
+# basis of sl2 scaled by 1e160 is refused as a bad algebra (exit 2), and Cartan
+# rows scaled by 1e160 as not abelian (exit 1), with no traceback.
+def test_overflowed_squared_scales_reach_the_gates(capsys, tmp_path):
+    alg = catalog.get_entry("sl2").algebra.to_json()
+    alg["basis"] = [dict(b, re=[1e160 * v for v in b["re"]]) for b in alg["basis"]]
+    path = tmp_path / "grade.json"
+    path.write_text(json.dumps({"algebra": alg, "h": [1.0, 0.0, 0.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "grade", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: bad algebra document: bracket does not close over the basis: "
+                   "residual nan above gate inf at scale inf\n")
+    algebra, cartan, _ = catalog.root_fixture("sl2+sl2")
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps({"algebra": algebra.to_json(),
+                                "cartan": (1e160 * np.atleast_2d(cartan)).tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, "roots", "--file", str(path))
+    assert code == 1 and payload == {
+        "error": "NotCartan",
+        "detail": "cartan subalgebra is not abelian: residual nan above gate inf at scale inf"}
+
+
 # Ad(g)h of this finite element is finite, but twice its degree -1 part
 # overflows on the right side of the x- system: the element is refused as
 # outside the open cell, in both orders, with a JSON error document.

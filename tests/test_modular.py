@@ -12,8 +12,6 @@ from grade3 import modular, numkit
 from grade3.errors import (
     DomainError,
     ModularRelationViolated,
-    NotPositiveDefinite,
-    NotSelfAdjoint,
     NotStandard,
     PreconditionViolated,
 )
@@ -106,6 +104,23 @@ def test_standard_from_pair_validates():
         modular.standard_from_pair(bad)
 
 
+@pytest.mark.parametrize("delta, message", [
+    # not self-adjoint and not positive: the self-adjointness gate decides
+    (np.array([[-1.0, 2.0], [0.0, -1.0]]),
+     "delta is not self-adjoint: residual 2.000e+00 above gate 3.000e-09 at scale 2.000e+00"),
+    # self-adjoint, not positive, and off the modular relation
+    (np.diag([2.0, -1.0]), "delta is not positive definite"),
+    (np.diag([2.0, 1.0]), "modular relation defect: residual 3.000e+00 above gate "
+                          "5.000e-09 at scale 4.000e+00"),
+    # the squared scale overflows to inf, which the gate judges
+    (1e200 * np.eye(2), "modular relation defect: residual inf above gate inf at scale inf"),
+], ids=["not_self_adjoint_nor_positive", "not_positive", "relation", "overflowed_scale"])
+def test_standard_from_pair_raise_order(delta, message):
+    with np.errstate(over="ignore"), pytest.raises(ModularRelationViolated) as exc:
+        modular.standard_from_pair(modular.ModularPair(delta, np.eye(2)))
+    assert str(exc.value) == message
+
+
 def test_subspace_containment(rng):
     v = modular.random_standard_subspace(4, rng)
     assert modular.subspace_contained(v, v)
@@ -167,16 +182,6 @@ def test_log_integral_domain():
         modular.log_integral(0.0)
 
 
-def test_qform_log():
-    a = np.diag([1.0, np.e ** 2])
-    assert modular.qform_log(a, [0.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
-    assert modular.qform_log(a, [1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(NotSelfAdjoint):
-        modular.qform_log(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0])
-    with pytest.raises(NotPositiveDefinite):
-        modular.qform_log(np.diag([1.0, -1.0]), [1.0, 0.0])
-
-
 def test_log_monotone_check_passes():
     rep = modular.log_monotone_check(np.eye(2), 2.0 * np.eye(2), trials=25)
     assert rep["ok"]
@@ -194,6 +199,25 @@ def test_log_monotone_check_preconditions():
         modular.log_monotone_check(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
+_SKEW = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (np.eye(2) + _SKEW, 2.0 * np.eye(2) + 3.0 * _SKEW,
+     "A is not self-adjoint: residual 1.000e+00 above gate 2.000e-09 at scale 1.000e+00"),
+    (3.0 * np.eye(2), np.eye(2) + 2.0 * _SKEW,
+     "B is not self-adjoint: residual 2.000e+00 above gate 3.000e-09 at scale 2.000e+00"),
+    (np.diag([0.0, 5.0]), np.eye(2), "A <= B fails in the Loewner order"),
+    (np.zeros((2, 2)), np.zeros((2, 2)), "A must have trivial kernel"),
+    (np.diag([1.5e-9, 1.0]), np.diag([0.8e-9, 1.0]), "B must be positive definite"),
+], ids=["a_and_b_not_self_adjoint", "b_not_self_adjoint_and_unordered",
+        "unordered_and_a_singular", "a_and_b_singular", "b_singular"])
+def test_log_monotone_check_raise_order(a, b, message):
+    with pytest.raises(PreconditionViolated) as exc:
+        modular.log_monotone_check(a, b)
+    assert str(exc.value) == message
+
+
 def test_subspace_json_roundtrip(rng):
     v = modular.random_standard_subspace(3, rng)
     back = StandardSubspace.from_json(v.to_json())
@@ -207,5 +231,4 @@ def test_self_adjointness_gates_floor_small_scales():
     # 2 * tol.value, the same gate loewner_leq applies
     a = 1e-3 * np.eye(2) + np.array([[0.0, 1.5e-9], [0.0, 0.0]])
     assert numkit.loewner_leq(a, 2e-3 * np.eye(2))
-    assert modular.qform_log(a, [1.0, 0.0]) == pytest.approx(np.log(1e-3))
     assert modular.log_monotone_check(a, 2e-3 * np.eye(2), trials=5)["ok"]

@@ -346,6 +346,46 @@ def test_loewner_order():
         numkit.loewner_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
+def test_loewner_leq_names_the_argument_that_fails_self_adjointness():
+    bad = np.array([[0.0, 3.0], [0.0, 0.0]])
+    cases = [
+        ((bad, np.eye(2)), "first argument is not self-adjoint: residual 3.000e+00 "
+                           "above gate 4.000e-09 at scale 3.000e+00"),
+        ((np.eye(2), 2 * bad), "second argument is not self-adjoint: residual 6.000e+00 "
+                               "above gate 7.000e-09 at scale 6.000e+00"),
+        # both fail: the first argument is named
+        ((bad, 2 * bad), "first argument is not self-adjoint: residual 3.000e+00 "
+                         "above gate 4.000e-09 at scale 3.000e+00"),
+    ]
+    for args, message in cases:
+        with pytest.raises(NotSelfAdjoint) as exc:
+            numkit.loewner_leq(*args)
+        assert str(exc.value) == message
+
+
+def test_check_self_adjoint_gates_at_the_largest_entry():
+    tol = Tolerance(1e-9)
+    numkit.check_self_adjoint(np.array([[5.0, 1j], [-1j, 0.0]]), tol, ArithmeticError, "x")
+    # a defect of 3e-9 fails the unit-floored gate 2e-9 but passes 1e-9 + 4e-9
+    skew = np.array([[0.0, 3e-9], [0.0, 0.0]])
+    with pytest.raises(ArithmeticError, match="^x: residual 3.000e-09 above gate"):
+        numkit.check_self_adjoint(skew, tol, ArithmeticError, "x")
+    numkit.check_self_adjoint(skew + 4.0 * np.eye(2), tol, ArithmeticError, "x")
+    numkit.check_self_adjoint(np.zeros((0, 0)), tol, ArithmeticError, "x")
+
+
+def test_loewner_margin_is_the_smallest_eigenvalue_of_the_hermitian_difference():
+    assert numkit.loewner_margin(np.eye(2), np.diag([2.0, 3.0])) == 1.0
+    assert numkit.loewner_margin(np.diag([2.0, 3.0]), np.eye(2)) == -2.0
+    # only the Hermitian part of b - a counts
+    assert numkit.loewner_margin(np.zeros((2, 2)), np.array([[1.0, 2.0], [0.0, 1.0]])) == 0.0
+    a, b = np.diag([1.0, 1.0 + 1e-10]), np.diag([1.0 + 2e-9, 1.0])
+    margin = numkit.loewner_margin(a, b)
+    assert margin == pytest.approx(-1e-10, rel=1e-5)
+    assert numkit.loewner_leq(a, b) is (margin >= -1e-9)
+    assert numkit.loewner_leq(a, b, Tolerance(1e-11)) is False
+
+
 def test_eigvals_clustered_merges_near_pairs():
     vals = numkit.eigvals_clustered(np.diag([1.0, 1.0 + 1e-12, 2.0]))
     vals = np.sort(vals.real)
