@@ -82,11 +82,11 @@ def _finish(name, description, algebra, h, cone, extras=None) -> CatalogEntry:
 
 def sl2_member_direct(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Closed-form compression test for sl2: with g = [[a, b], [c, d]],
-    membership amounts to ab >= 0, cd >= 0 and bc >= 0, each shortfall
-    gated at the squared scale of g, so a product overflowing to -inf fails."""
+    membership amounts to ab >= 0, cd >= 0 and bc >= 0, the shortfall of
+    each product xy gated at its own scale |x||y|, so a product overflowing
+    to -inf fails."""
     (a, b), (c, d) = g.matrix.tolist()
-    scale = float(np.abs(g.matrix).max())
-    return all(tol.accepts(max(0.0, -p), scale * scale) for p in (a * b, c * d, b * c))
+    return all(tol.accepts(max(0.0, -x * y), abs(x) * abs(y)) for x, y in ((a, b), (c, d), (b, c)))
 
 
 def build_sl2() -> CatalogEntry:
@@ -134,12 +134,6 @@ def build_poincare(d: int = 3) -> CatalogEntry:
     k = np.zeros((d, d))
     k[0, 1] = k[1, 0] = 1.0
 
-    def translation(v) -> GroupElement:
-        v = np.asarray(v, dtype=float)
-        m = np.eye(r)
-        m[:d, d] = v
-        return GroupElement(alg, m)
-
     def member_direct(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> bool:
         ell = g.matrix[:d, :d]
         v = g.matrix[:d, d]
@@ -154,11 +148,7 @@ def build_poincare(d: int = 3) -> CatalogEntry:
         alg,
         h,
         cone,
-        extras={
-            "d": d,
-            "translation": translation,
-            "member_direct": member_direct,
-        },
+        extras={"d": d, "member_direct": member_direct},
     )
 
 
@@ -253,7 +243,6 @@ def build_jacobi(n: int = 1) -> CatalogEntry:
         alg,
         h,
         cone,
-        extras={"inject": inject},
     )
 
 

@@ -2,9 +2,9 @@
 
 An algebra is specified by a faithful matrix basis; elements are real
 coefficient vectors over that basis.  Structure constants are derived once at
-construction and every bracket closes over the basis within tolerance.  The
-grading of ad(h) with eigenvalues {-1, 0, +1} is computed through exact
-spectral projector polynomials after the spectrum has been clustered.
+construction and every bracket closes over the basis within tolerance.  A
+3-grading is decided by its defining identity ad(h)^3 = ad(h), and its
+projectors are the Lagrange polynomials of ad(h) at {-1, 0, 1}.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "Grading",
     "GroupElement",
     "grade_by",
-    "brackets",
     "adjoint",
     "ad_image",
     "tau_group",
@@ -42,6 +41,10 @@ class LieAlgebraSpec:
     fails if the basis is dependent or the bracket does not close.  A real
     representation (every basis matrix real) builds matrices and solves
     coordinates of real matrices in real arithmetic.
+
+    ad_tensor[i] is the matrix of ad(b_i) on coefficient vectors, so
+    ad(x) = sum_i x_i ad_tensor[i] and ad_tensor[i, k, j] is coordinate k
+    of [b_i, b_j].
     """
 
     def __init__(self, name, basis, tau_matrix=None):
@@ -84,9 +87,7 @@ class LieAlgebraSpec:
             self.structure_constants[i], res[i] = self.try_coords(b @ self.basis - self.basis @ b)
         DEFAULT_TOL.check(float(res.max()), self._basis_scale * self._basis_scale, ValueError,
                           "bracket does not close over the basis")
-        self._ad_tensor = np.ascontiguousarray(
-            np.transpose(self.structure_constants, (0, 2, 1))
-        )  # _ad_tensor[i, k, j] so ad(x) = einsum('i,ikj->kj')
+        self.ad_tensor = np.ascontiguousarray(np.transpose(self.structure_constants, (0, 2, 1)))
 
     @functools.cached_property
     def _tau_inverse(self) -> np.ndarray:
@@ -134,7 +135,7 @@ class LieAlgebraSpec:
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x) on coefficient vectors."""
-        return np.einsum("i,ikj->kj", np.asarray(x, dtype=float), self._ad_tensor)
+        return np.einsum("i,ikj->kj", np.asarray(x, dtype=float), self.ad_tensor)
 
     def jacobi_defect(self) -> float:
         """Largest Jacobi-identity residual over basis triples.
@@ -263,56 +264,35 @@ class Grading:
         return self._bases[degree]
 
 
-def brackets(c, u, v) -> np.ndarray:
-    """w[a, b] = coordinates of [u_a, v_b] for structure constants c and the
-    columns u_a of u and v_b of v.  u is contracted into c first, then v: a
-    fixed order of two tensordots, with no contraction path to search for."""
-    return np.tensordot(np.tensordot(u, c, axes=(0, 0)), v, axes=(1, 0)).transpose(0, 2, 1)
-
-
 def grade_by(algebra: LieAlgebraSpec, h) -> Grading:
     """3-grading of the algebra by ad(h) eigenvalues {-1, 0, +1}.
 
-    The spectrum is clustered with the fixed structural gap
-    numkit.CLUSTER_GAP, and a value farther than that from {-1, 0, 1} is
-    refused, the farthest one reported; projectors are the Lagrange
-    polynomials of ad(h) at {-1, 0, 1}, and the bracket compatibility
-    [g^i, g^j] in g^{i+j} is verified at the default tolerance before
-    returning.
+    ad(h) is diagonalizable with spectrum in {-1, 0, 1} exactly when
+    ad(h)^3 = ad(h): that identity is the one spectral gate, at the default
+    tolerance and the scale of ad(h)^3's largest entry.  The projectors are
+    the Lagrange polynomials of ad(h) at {-1, 0, 1}, and the bracket
+    compatibility [g^i, g^j] in g^{i+j} is verified at the default tolerance
+    before returning.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (algebra.dim,):
         raise ValueError("h must be a coefficient vector of the algebra")
     a = algebra.ad(h)
-    vals = numkit.eigvals_clustered(a)
-    dist = np.abs(vals[:, None] - np.array([-1.0, 0.0, 1.0])).min(axis=1)
-    if dist.max() > numkit.CLUSTER_GAP:
-        # the farthest value names the refusal, ties going to the larger
-        # imaginary, then real part, so that no LAPACK order shows through
-        z = complex(vals[np.lexsort((vals.real, vals.imag, dist))[-1]])
-        raise NotThreeGraded(f"ad(h) eigenvalue {z} not in {{-1, 0, 1}}: distance "
-                             f"{dist.max():.3e} above gate {numkit.CLUSTER_GAP:.3e}")
     a2 = a @ a
-    p_plus = (a2 + a) / 2.0
-    p_minus = (a2 - a) / 2.0
-    p_zero = np.eye(algebra.dim) - a2
-    # Projector sanity: idempotent, mutually annihilating, resolution of id.
-    defect = 0.0
-    for p in (p_minus, p_zero, p_plus):
-        defect = max(defect, float(np.abs(p @ p - p).max()))
-    defect = max(defect, float(np.abs(p_plus @ p_minus).max()))
-    defect = max(defect, float(np.abs(p_zero @ p_plus).max()))
-    if defect > 1e3 * numkit.CLUSTER_GAP:
-        raise NotThreeGraded(f"ad(h) is not semisimple enough (defect {defect:.3e})")
-    g = Grading(algebra, h, p_minus, p_zero, p_plus)
-    # Bracket compatibility: [g^i, g^j] lands in g^{i+j} (zero if |i+j| > 1).
-    c = algebra.structure_constants
-    scale = float(np.abs(c).max())
+    a3 = a2 @ a
+    DEFAULT_TOL.check(float(np.abs(a3 - a).max()), float(np.abs(a3).max()), NotThreeGraded,
+                      "ad(h)^3 differs from ad(h)")
+    g = Grading(algebra, h, (a2 - a) / 2.0, np.eye(algebra.dim) - a2, (a2 + a) / 2.0)
+    # Bracket compatibility: [g^i, g^j] lands in g^{i+j} (zero if |i+j| > 1);
+    # w[a, :, b] holds the coordinates of [u_a, v_b].
+    t = algebra.ad_tensor
+    scale = float(np.abs(t).max())
     for di in (-1, 0, 1):
+        ad_u = np.tensordot(g.eigenbasis(di).T, t, 1)
         for dj in (-1, 0, 1):
-            w = brackets(c, g.eigenbasis(di), g.eigenbasis(dj))
+            w = ad_u @ g.eigenbasis(dj)
             if -1 <= di + dj <= 1:
-                w = w - w @ g.projector(di + dj).T
+                w = w - g.projector(di + dj) @ w
             DEFAULT_TOL.check(float(np.abs(w).max(initial=0.0)), scale, NotThreeGraded,
                               f"[g^{di}, g^{dj}] leaves g^{di + dj}")
     return g

@@ -265,7 +265,8 @@ def log_monotone_check(a, b, trials: int = 100, tol: Tolerance = DEFAULT_TOL,
                        rng: np.random.Generator | None = None) -> dict:
     """Sampled operator-monotonicity certificate for log on [A, B].
 
-    Requires 0 < A <= B (PreconditionViolated otherwise).  Checks the
+    Requires square A and B of one shape (ValueError otherwise) and
+    0 < A <= B (PreconditionViolated otherwise).  Checks the
     quadratic-form margin <xi, log(B) xi> - <xi, log(A) xi>, each form taken
     through the spectral decomposition of its matrix, on random unit vectors
     and the resolvent step -(x+A)^{-1} <= -(x+B)^{-1}, whose Loewner margin
@@ -275,9 +276,10 @@ def log_monotone_check(a, b, trials: int = 100, tol: Tolerance = DEFAULT_TOL,
         rng = np.random.default_rng(0)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    numkit.require_square_pair(a, b)
     for name, mat in (("A", a), ("B", b)):
         numkit.check_self_adjoint(mat, tol, PreconditionViolated, f"{name} is not self-adjoint")
-    if not numkit.loewner_leq(a, b, tol):
+    if not numkit.loewner_margin(a, b) >= -tol.value:
         raise PreconditionViolated("A <= B fails in the Loewner order")
     evals_a, evecs_a = np.linalg.eigh((a + a.conj().T) / 2)
     if evals_a.min() <= tol.value:

@@ -45,6 +45,7 @@ __all__ = [
     "nnls",
     "hermitian_defect",
     "check_self_adjoint",
+    "require_square_pair",
     "loewner_margin",
     "loewner_leq",
     "null_space",
@@ -327,6 +328,13 @@ def check_self_adjoint(a, tol: Tolerance, error: type, what: str) -> None:
     tol.check(hermitian_defect(a), float(np.abs(a).max(initial=0.0)), error, what)
 
 
+def require_square_pair(a, b) -> None:
+    """Raise ValueError, naming both shapes, unless a and b are square
+    matrices of one shape."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
+        raise ValueError(f"need two square matrices of one shape, got {a.shape} and {b.shape}")
+
+
 def loewner_margin(a, b) -> float:
     """Smallest eigenvalue of the Hermitian part of b - a: a <= b in the
     Loewner order exactly when it is >= 0."""
@@ -337,12 +345,13 @@ def loewner_margin(a, b) -> float:
 
 def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Decide a <= b in the Loewner order: loewner_margin(a, b) >=
-    -tol.value.  Raises NotSelfAdjoint if either argument is not
+    -tol.value.  Raises ValueError unless a and b are finite square
+    matrices of one shape, and NotSelfAdjoint if either is not
     self-adjoint within tolerance."""
+    a, b = np.asarray(a), np.asarray(b)
+    require_square_pair(a, b)
     a = require_finite(a)
     b = require_finite(b)
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch in Loewner comparison")
     for name, m in (("first", a), ("second", b)):
         check_self_adjoint(m, tol, NotSelfAdjoint, f"{name} argument is not self-adjoint")
     return loewner_margin(a, b) >= -tol.value

@@ -109,8 +109,12 @@ def test_criterion_03_factorization_fidelity():
 
 def _poincare_sample(entry, rng, kind: str) -> GroupElement:
     d = entry.extras["d"]
-    translation = entry.extras["translation"]
     alg = entry.algebra
+
+    def translation(v):
+        m = np.eye(d + 1)
+        m[:d, d] = v
+        return GroupElement(alg, m)
 
     def wedge_translation():
         v = rng.normal(size=d)

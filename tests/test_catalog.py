@@ -57,21 +57,36 @@ def test_sl2_closed_form_agrees(sl2, rng):
 
 
 def test_sl2_closed_form_at_an_overflowed_squared_scale(sl2):
-    # g's squared scale overflows to inf, and with it the slack; a product
-    # that overflows to -inf still fails, as it does at every scale
+    # a product that overflows to -inf fails, as it does at every scale,
+    # although its own scale |x||y| overflows to inf with it
     direct = sl2.extras["member_direct"]
     s = 1e160
     assert direct(GroupElement(sl2.algebra, np.diag([s, 1.0 / s])))
     assert not direct(GroupElement(sl2.algebra, np.array([[s, -s], [0.0, 1.0 / s]])))
 
 
+def test_sl2_closed_form_gates_each_product_at_its_own_scale(sl2):
+    # ab = -1e10 is a clear shortfall at its scale 1e10, though it lies
+    # within tol times the squared scale of g
+    g = GroupElement(sl2.algebra, np.array([[1e10, -1.0], [0.0, 1e-10]]))
+    assert not sl2.extras["member_direct"](g)
+    assert not semigroup.member_ShC(g, sl2.grading, sl2.cone)
+
+
+def _translation(entry, v) -> GroupElement:
+    """The Poincare translation by v: the identity with v in the last column."""
+    d = entry.extras["d"]
+    m = np.eye(d + 1)
+    m[:d, d] = v
+    return GroupElement(entry.algebra, m)
+
+
 def test_poincare_frozen_members(poincare3):
-    translation = poincare3.extras["translation"]
     grading, cone = poincare3.grading, poincare3.cone
-    assert semigroup.member_ShC(translation([0.0, 1.0, 0.0]), grading, cone)
-    assert semigroup.member_ShC(translation([0.5, 1.0, 0.0]), grading, cone)
-    assert not semigroup.member_ShC(translation([0.0, -1.0, 0.0]), grading, cone)
-    assert not semigroup.member_ShC(translation([1.0, 0.0, 0.0]), grading, cone)
+    assert semigroup.member_ShC(_translation(poincare3, [0.0, 1.0, 0.0]), grading, cone)
+    assert semigroup.member_ShC(_translation(poincare3, [0.5, 1.0, 0.0]), grading, cone)
+    assert not semigroup.member_ShC(_translation(poincare3, [0.0, -1.0, 0.0]), grading, cone)
+    assert not semigroup.member_ShC(_translation(poincare3, [1.0, 0.0, 0.0]), grading, cone)
     # pure boost compresses the wedge; a rotation does not
     boost = GroupElement.exp(poincare3.algebra, poincare3.h)
     assert semigroup.member_ShC(boost, grading, cone)
@@ -92,7 +107,7 @@ def test_poincare_closed_form_agrees(poincare3, rng):
 def test_jacobi_chart_fixtures(jacobi1):
     np.testing.assert_allclose(
         jacobi1.h, [0.0, 0.0, 0.0, -0.5, 0.0, 0.0, 0.5], atol=1e-12)
-    inject = jacobi1.extras["inject"]
+    inject = jacobi1.cone.from_base
     one = inject @ np.array([1.0, 0, 0, 0, 0, 0])
     q2 = inject @ np.array([0.0, 0, 0, 1.0, 0, 0])
     minus_p2 = inject @ np.array([0.0, 0, 0, 0, 0, -1.0])
@@ -128,7 +143,7 @@ def test_jacobi_inject_matches_explicit_chart(n):
     expected = np.empty((entry.algebra.dim, len(cols)))
     for idx, mat in enumerate(cols):
         expected[:, idx] = entry.algebra.coords(mat)
-    np.testing.assert_array_equal(entry.extras["inject"], expected)
+    np.testing.assert_array_equal(entry.cone.from_base, expected)
 
 
 def test_solvable_default(solvable):

@@ -323,6 +323,17 @@ def test_file_input(capsys, tmp_path):
     assert code == 0 and payload == {"dims": [1, 1, 1]}
 
 
+def test_grade_file_refusal_names_the_identity_gate(capsys, tmp_path):
+    entry = catalog.get_entry("sl2")
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps({"algebra": entry.algebra.to_json(), "h": [2.0, 0.0, 0.0]}))
+    code, payload = run_json(capsys, "grade", "--file", str(path))
+    assert code == 1 and payload == {
+        "error": "NotThreeGraded",
+        "detail": "ad(h)^3 differs from ad(h): residual 6.000e+00 above gate 9.000e-09 "
+                  "at scale 8.000e+00"}
+
+
 def test_file_missing(capsys):
     code, _, err = run_cli(capsys, "member", "--file", "/nonexistent.json")
     assert code == 2 and "cannot read" in err

@@ -218,6 +218,16 @@ def test_log_monotone_check_raise_order(a, b, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.ones((2, 3)), np.ones((2, 3))),
+    (np.eye(2) + _SKEW, np.eye(3)),
+], ids=["non_square", "two_sizes"])
+def test_log_monotone_check_checks_shapes_before_any_gate(a, b):
+    with pytest.raises(ValueError) as exc:
+        modular.log_monotone_check(a, b)
+    assert str(exc.value) == f"need two square matrices of one shape, got {a.shape} and {b.shape}"
+
+
 def test_subspace_json_roundtrip(rng):
     v = modular.random_standard_subspace(3, rng)
     back = StandardSubspace.from_json(v.to_json())

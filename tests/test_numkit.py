@@ -363,6 +363,19 @@ def test_loewner_leq_names_the_argument_that_fails_self_adjointness():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.ones((2, 3)), np.ones((3, 2))),
+    (np.ones((2, 3)), np.ones((2, 3))),
+    (np.eye(2), np.eye(3)),
+    (np.ones(3), np.ones(3)),
+], ids=["transposed", "non_square", "two_sizes", "vectors"])
+def test_loewner_leq_checks_shapes_before_any_gate(a, b):
+    # a non-square pair is not self-adjoint either: the shapes are named
+    with pytest.raises(ValueError) as exc:
+        numkit.loewner_leq(a, b)
+    assert str(exc.value) == f"need two square matrices of one shape, got {a.shape} and {b.shape}"
+
+
 def test_check_self_adjoint_gates_at_the_largest_entry():
     tol = Tolerance(1e-9)
     numkit.check_self_adjoint(np.array([[5.0, 1j], [-1j, 0.0]]), tol, ArithmeticError, "x")

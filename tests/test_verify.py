@@ -64,7 +64,7 @@ def test_tau_bracket_defect_with_non_diagonal_tau():
     perturbed = tau + 1e-6 * np.random.default_rng(5).normal(size=tau.shape)
     c = alg.structure_constants
     for t, automorphism in ((tau, True), (tau.T, False), (perturbed, False)):
-        got = verify._tau_bracket_defect(c, t)
+        got = verify._tau_bracket_defect(alg.ad_tensor, t)
         assert got == pytest.approx(_tau_bracket_reference(c, t), rel=1e-9, abs=1e-12)
         assert (got <= 1e-10) == automorphism
 
@@ -75,4 +75,4 @@ def test_tau_bracket_defect_matches_the_optimized_einsum_bit_for_bit(name):
     c, tau = entry.algebra.structure_constants, entry.grading.tau
     rhs = np.einsum("ai,bj,abk->ijk", tau, tau, c, optimize=True)
     want = float(np.abs(c @ tau.T - rhs)[np.triu_indices(len(c), 1)].max(initial=0.0))
-    assert verify._tau_bracket_defect(c, tau) == want
+    assert verify._tau_bracket_defect(entry.algebra.ad_tensor, tau) == want
