@@ -17,6 +17,7 @@ from . import numkit
 from .errors import (
     AdjointOutOfSpan,
     NoTauImplementation,
+    NotInOpenCell,
     NotThreeGraded,
 )
 from .numkit import DEFAULT_TOL, Tolerance
@@ -28,6 +29,7 @@ __all__ = [
     "grade_by",
     "adjoint",
     "ad_image",
+    "conjugate_coords",
     "tau_group",
     "sharp",
 ]
@@ -81,10 +83,15 @@ class LieAlgebraSpec:
 
         # Structure constants C[i, j, k]: coordinate k of [b_i, b_j], solved
         # one basis row i at a time: the working set is one (d, r, r) stack.
-        self.structure_constants = np.empty((self.dim,) * 3)
-        res = np.empty((self.dim, self.dim))
+        # Row i is b_i [b_0 | ... | b_{d-1}] - [b_0; ...; b_{d-1}] b_i: two products.
+        d = self.dim
+        wide = self.basis.transpose(1, 0, 2).reshape(r, d * r)
+        tall = self.basis.reshape(d * r, r)
+        self.structure_constants = np.empty((d,) * 3)
+        res = np.empty((d, d))
         for i, b in enumerate(self.basis):
-            self.structure_constants[i], res[i] = self.try_coords(b @ self.basis - self.basis @ b)
+            comm = (b @ wide).reshape(r, d, r).transpose(1, 0, 2) - (tall @ b).reshape(d, r, r)
+            self.structure_constants[i], res[i] = self.try_coords(comm)
         DEFAULT_TOL.check(float(res.max()), self._basis_scale * self._basis_scale, ValueError,
                           "bracket does not close over the basis")
         self.ad_tensor = np.ascontiguousarray(np.transpose(self.structure_constants, (0, 2, 1)))
@@ -112,11 +119,12 @@ class LieAlgebraSpec:
         imaginary part counts in the residual; a real stack is stacked too,
         since its shorter matrix-matrix product would move the last bits."""
         m = np.asarray(m)
-        flat = m.reshape(m.shape[:-2] + (-1,))
-        if self._is_real_rep and flat.ndim == 1 and not np.iscomplexobj(flat):
+        if self._is_real_rep and m.ndim == 2 and m.dtype.kind != "c":
+            flat = m.ravel()
             v = flat @ self._coord_map
             d = v @ self._basis_flat - flat
-            return v, np.sqrt((d * d).sum(axis=-1))
+            return v, np.sqrt(np.add.reduce(d * d))
+        flat = m.reshape(m.shape[:-2] + (-1,))
         stacked = np.concatenate([flat.real, flat.imag], axis=-1)
         v = stacked @ self._pinv.T
         d = v @ self._bstack.T - stacked
@@ -210,8 +218,10 @@ class Grading:
             int(round(np.trace(p_zero).real)),
             int(round(np.trace(p_plus).real)),
         )
+        self._projectors = {-1: p_minus, 0: p_zero, 1: p_plus}
         self._bases = {}
-        self._eye = np.eye(algebra.rep_dim)  # unipotent's, held once
+        self._eye = np.eye(algebra.rep_dim)  # inverse_unipotent's, held once
+        self.coeff_identity = np.eye(algebra.dim)  # the factorization's, held once
 
     @functools.cached_property
     def h_matrix(self) -> np.ndarray:
@@ -230,27 +240,27 @@ class Grading:
             level = vals[(np.abs(level[:, None] + 1.0 - vals) < 0.25).any(axis=0)]
         return k
 
-    def unipotent(self, x) -> np.ndarray:
-        """exp(X), X = to_matrix(x), for x in g^{+1} or g^{-1}: the Taylor
-        sum of X^j / j! over j < k = nilpotency_bound, which terminates
-        there, in Horner form I + X (I + X/2 (I + ...)), starting at
-        I + X/(k - 1)."""
-        m = self.algebra.to_matrix(x)
-        k = self.nilpotency_bound
-        if k < 2:
-            return np.eye(len(m))
-        eye = self._eye
-        out = eye + m / (k - 1)
-        for j in range(k - 2, 0, -1):
-            out = eye + m @ out / j
+    def inverse_unipotent(self, x, which: str) -> np.ndarray:
+        """exp(-X), X = to_matrix(x), for x in g^{+1} or g^{-1}: the Taylor
+        sum of (-X)^j / j! over j < k = nilpotency_bound, which terminates
+        there, in Horner form I - X (I - X/2 (I - ...)), starting at
+        I - X/(k - 1).  NotInOpenCell names the which factor if it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.algebra.to_matrix(x)
+            k = self.nilpotency_bound
+            out = self._eye.copy() if k < 2 else self._eye - m / (k - 1)
+            for j in range(k - 2, 0, -1):
+                out = self._eye - m @ out / j
+        if not np.isfinite(out).all():
+            raise NotInOpenCell(f"{which} factor exp(-x) overflows")
         return out
 
     def projector(self, degree: int) -> np.ndarray:
-        return {-1: self.p_minus, 0: self.p_zero, 1: self.p_plus}[degree]
+        return self._projectors[degree]
 
     def part(self, x, degree: int) -> np.ndarray:
         """Component of x in the degree eigenspace."""
-        return self.projector(degree) @ np.asarray(x, dtype=float)
+        return self._projectors[degree] @ np.asarray(x, dtype=float)
 
     def eigenbasis(self, degree: int) -> np.ndarray:
         """Orthonormal columns spanning the degree eigenspace."""
@@ -269,17 +279,23 @@ def grade_by(algebra: LieAlgebraSpec, h) -> Grading:
 
     ad(h) is diagonalizable with spectrum in {-1, 0, 1} exactly when
     ad(h)^3 = ad(h): that identity is the one spectral gate, at the default
-    tolerance and the scale of ad(h)^3's largest entry.  The projectors are
-    the Lagrange polynomials of ad(h) at {-1, 0, 1}, and the bracket
-    compatibility [g^i, g^j] in g^{i+j} is verified at the default tolerance
-    before returning.
+    tolerance and the scale of ad(h)^3's largest entry.  A square or cube
+    of ad(h) that overflows is refused first, by name, with the size of h.  The
+    projectors are the Lagrange polynomials of ad(h) at {-1, 0, 1}, and the
+    bracket compatibility [g^i, g^j] in g^{i+j} is verified at the default
+    tolerance before returning.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (algebra.dim,):
         raise ValueError("h must be a coefficient vector of the algebra")
-    a = algebra.ad(h)
-    a2 = a @ a
-    a3 = a2 @ a
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = algebra.ad(h)
+        a2 = a @ a
+        a3 = a2 @ a
+    for name, power in (("ad(h)^2", a2), ("ad(h)^3", a3)):  # a non-finite ad(h) fails ad(h)^2
+        if not np.isfinite(power).all():
+            raise NotThreeGraded(f"{name} overflows: h has an entry of size "
+                                 f"{float(np.abs(h).max()):.3e}")
     DEFAULT_TOL.check(float(np.abs(a3 - a).max()), float(np.abs(a3).max()), NotThreeGraded,
                       "ad(h)^3 differs from ad(h)")
     g = Grading(algebra, h, (a2 - a) / 2.0, np.eye(algebra.dim) - a2, (a2 + a) / 2.0)
@@ -336,38 +352,36 @@ class GroupElement:
         return f"GroupElement({self.algebra.name}, {self.matrix.tolist()})"
 
 
-def _conjugate_coords(g: GroupElement, xm, tol: Tolerance, what: str,
-                      x_scale: float | None = None) -> np.ndarray:
-    """Coefficients of g X g^{-1} for one matrix X or a stack of them; raises
-    AdjointOutOfSpan when the worst residual exceeds the gate at scale
-    ||g|| x_scale ||g^{-1}||, the size roundoff actually reaches when the
+def conjugate_coords(algebra: LieAlgebraSpec, m, m_inv, xm, tol: Tolerance, what: str,
+                     x_scale: float | None = None) -> np.ndarray:
+    """Coefficients of m X m_inv (m a group element's matrix) for one matrix X
+    or a stack; AdjointOutOfSpan when the worst residual exceeds the gate at
+    scale ||m|| x_scale ||m_inv||, the size roundoff actually reaches when the
     conjugation cancels.  x_scale defaults to the Frobenius norm of X."""
-    v, res = g.algebra.try_coords(g.matrix @ xm @ g.inv_matrix)
+    v, res = algebra.try_coords(m @ xm @ m_inv)
     worst = res.max() if res.ndim else float(res)
     # The gate floors its scale at 1, so a residual within the gate at
     # scale 1 passes at any scale without the norms; NaN falls through.
     if not worst <= tol.gate():
         if x_scale is None:
             x_scale = np.linalg.norm(xm)
-        scale = float(np.linalg.norm(g.matrix) * x_scale * np.linalg.norm(g.inv_matrix))
+        scale = float(np.linalg.norm(m) * x_scale * np.linalg.norm(m_inv))
         tol.check(worst, scale, AdjointOutOfSpan, what)
     return v
 
 
 def ad_image(g: GroupElement, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Coefficients of Ad(g) x = g X g^{-1}; raises AdjointOutOfSpan when the
-    conjugate leaves the basis span.  x is a coefficient vector, or a
-    Grading, which stands for its h: the semigroup tests conjugate the same
-    h on every call, so they pass the grading and use the matrix it holds
-    instead of rebuilding it from the vector."""
+    """Coefficients of Ad(g) x = g X g^{-1}, gated as in conjugate_coords; x is
+    a coefficient vector, or a Grading standing for h by the matrix it holds."""
     xm = x.h_matrix if isinstance(x, Grading) else g.algebra.to_matrix(x)
-    return _conjugate_coords(g, xm, tol, "Ad(g)x")
+    return conjugate_coords(g.algebra, g.matrix, g.inv_matrix, xm, tol, "Ad(g)x")
 
 
 def adjoint(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Matrix of Ad(g) on coefficient vectors."""
     alg = g.algebra
-    return _conjugate_coords(g, alg.basis, tol, "Ad(g)", alg._basis_scale).T
+    return conjugate_coords(alg, g.matrix, g.inv_matrix, alg.basis, tol, "Ad(g)",
+                            alg._basis_scale).T
 
 
 def tau_group(g: GroupElement) -> GroupElement:

@@ -7,13 +7,14 @@ w0 = h + [x-, y] and w-1 = (1/2)(I - ad w0) x-, so x- solves a linear system
 on g^{-1}; x+ is then read off from Ad(g1^{-1})h = h + x+, g1 = exp(-x-) g.
 The order g = exp(x+) g0 exp(x-) is its mirror, g^{-1} = exp(-x-) g0^{-1}
 exp(-x+).  x+- lies in g^{+-1}, so its matrix is nilpotent and exp(-x+-) is
-a terminating sum (Grading.unipotent): the factorization makes no matrix
-exponential.  The Olshanski-type polar factorization g0 exp(x) comes from
-the principal log of sharp(g) g.
+a terminating sum (Grading.inverse_unipotent): the factorization makes no
+matrix exponential.  The Olshanski-type polar factorization g0 exp(x) comes
+from the principal log of sharp(g) g.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import numkit
 from .cones import Cone, graded_parts
 from .errors import AdjointOutOfSpan, NotInOpenCell, NotPolar
-from .liealg import Grading, GroupElement, ad_image, sharp
+from .liealg import Grading, GroupElement, ad_image, conjugate_coords, sharp
 from .numkit import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -85,16 +86,6 @@ def member_P(g: GroupElement, grading: Grading, sign: int,
     return tol.accepts(np.linalg.norm(off), np.linalg.norm(r))
 
 
-def _inverse_factor(grading: Grading, x, which: str) -> np.ndarray:
-    """The matrix exp(-x), inverse of the factor exp(x) for x in g^{+1} or
-    g^{-1}: a terminating sum (Grading.unipotent), refusing a diverging x."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = grading.unipotent(-x)
-    if not np.isfinite(m).all():
-        raise NotInOpenCell(f"{which} factor exp(-x) overflows")
-    return m
-
-
 def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
                       tol: Tolerance = DEFAULT_TOL) -> TriangularFactorization:
     """Factor g through the open cell G^1 G^0 G^{-1} (or G^{-1} G^0 G^1).
@@ -107,12 +98,14 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     """
     if order not in ("+0-", "-0+"):
         raise ValueError("order must be '+0-' or '-0+'")
-    alg = g.algebra
-    h = grading.h
+    # One pass over plain matrices, each inverse computed once; only g0 is a
+    # GroupElement.  A non-finite g1^{-1} fails the first conjugation by g1.
+    alg, h, hm = g.algebra, grading.h, grading.h_matrix
     try:
+        m, m_inv = g.matrix, g.inv_matrix
         if order == "+0-":
-            g = g.inverse()
-        w = ad_image(g, grading, tol)
+            m, m_inv = numkit.require_finite(m_inv, "group element"), m
+        w = conjugate_coords(alg, m, m_inv, hm, tol, "Ad(g)x")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NotInOpenCell(f"g is numerically singular: {exc}") from exc
 
@@ -120,28 +113,31 @@ def triangular_factor(g: GroupElement, grading: Grading, order: str = "+0-",
     # leaves Ad(g1)h off h + g^1, which the gates below refuse, so its
     # residual is not gated here, nor computed: lstsq is called directly.
     basis = grading.eigenbasis(-1)
-    mat = basis.T @ (np.eye(alg.dim) - alg.ad(grading.part(w, 0))) @ basis
+    mat = basis.T @ (grading.coeff_identity - alg.ad(grading.p_zero @ w)) @ basis
     try:
         sol = np.linalg.lstsq(numkit.require_finite(mat),
-                              numkit.require_finite(basis.T @ (2.0 * grading.part(w, -1))),
+                              numkit.require_finite(basis.T @ (2.0 * (grading.p_minus @ w))),
                               rcond=None)[0]
     except ValueError as exc:  # the system overflows for a finite w near the float limit
         raise NotInOpenCell(f"system for x- cannot be solved: {exc}") from exc
     x_minus = basis @ sol
-    scale = float(np.linalg.norm(w))
+    scale = math.sqrt(w.dot(w))
 
     try:
-        g1 = GroupElement(alg, _inverse_factor(grading, x_minus, "leading") @ g.matrix)
-        r = ad_image(g1, grading, tol) - h
-        tol.check(np.linalg.norm(r - grading.part(r, 1)), scale,
+        g1 = numkit.require_finite(grading.inverse_unipotent(x_minus, "leading") @ m,
+                                   "group element")
+        g1_inv = np.linalg.inv(g1)
+        r = conjugate_coords(alg, g1, g1_inv, hm, tol, "Ad(g)x") - h
+        off = r - grading.p_plus @ r
+        tol.check(math.sqrt(off.dot(off)), scale,
                   NotInOpenCell, "residual conjugation does not reach h + g^{-lead}")
 
         # Trailing factor from Ad(g1^{-1})h = h + x+.  Its off-degree part
         # needs no gate of its own: g0 fixes h only if it vanishes.
-        x_plus = grading.part(ad_image(g1.inverse(), grading, tol) - h, 1)
-        g0 = GroupElement(alg, g1.matrix @ _inverse_factor(grading, x_plus, "trailing"))
-        tol.check(np.linalg.norm(ad_image(g0, grading, tol) - h), scale,
-                  NotInOpenCell, "middle factor does not fix h")
+        x_plus = grading.p_plus @ (conjugate_coords(alg, g1_inv, g1, hm, tol, "Ad(g)x") - h)
+        g0 = GroupElement(alg, g1 @ grading.inverse_unipotent(x_plus, "trailing"))
+        moved = conjugate_coords(alg, g0.matrix, g0.inv_matrix, hm, tol, "Ad(g)x") - h
+        tol.check(math.sqrt(moved.dot(moved)), scale, NotInOpenCell, "middle factor does not fix h")
     except (AdjointOutOfSpan, np.linalg.LinAlgError) as exc:
         # A diverging unipotent factor can push the intermediate conjugations
         # past what the representation can verify or invert; that is a

@@ -334,6 +334,21 @@ def test_grade_file_refusal_names_the_identity_gate(capsys, tmp_path):
                   "at scale 8.000e+00"}
 
 
+def test_grade_file_refuses_an_overflowing_ad_h_squared(capsys, tmp_path):
+    # with h = 1e200 h0, ad(h)^2 overflows: refused by name with finite
+    # numbers, and no numpy warning reaches stderr
+    entry = catalog.get_entry("sl2")
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps({"algebra": entry.algebra.to_json(), "h": [1e200, 0.0, 0.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "grade", "--file", str(path))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "error": "NotThreeGraded",
+        "detail": "ad(h)^2 overflows: h has an entry of size 1.000e+200"}
+
+
 def test_file_missing(capsys):
     code, _, err = run_cli(capsys, "member", "--file", "/nonexistent.json")
     assert code == 2 and "cannot read" in err

@@ -8,6 +8,7 @@ these three brackets.
 import copy
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ def test_structure_constants_bit_identical_to_the_einsum_commutators(alg):
     comm = np.einsum("iab,jbc->ijac", alg.basis, alg.basis)
     ref, _ = alg.try_coords(comm - np.transpose(comm, (1, 0, 2, 3)))
     np.testing.assert_array_equal(alg.structure_constants, ref)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS + [catalog.root_fixture("sl2")[0]],
+                         ids=lambda a: a.name)
+def test_structure_constants_bit_identical_to_the_batched_products(alg):
+    # one basis row at a time as two batched products b_i B and B b_i, each
+    # pair's product formed twice: the same bits as one product per side
+    ref = np.empty_like(alg.structure_constants)
+    for i, b in enumerate(alg.basis):
+        ref[i], _ = alg.try_coords(b @ alg.basis - alg.basis @ b)
+    assert alg.structure_constants.tobytes() == ref.tobytes()
+    assert alg.ad_tensor.tobytes() == np.ascontiguousarray(ref.transpose(0, 2, 1)).tobytes()
 
 
 @pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
@@ -254,6 +267,17 @@ def test_grading_tau_involution(sl2):
     tau = sl2.grading.tau
     np.testing.assert_allclose(tau, np.diag([1.0, -1.0, -1.0]), atol=1e-12)
     np.testing.assert_allclose(tau @ tau, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("size, name", [(1e200, "ad(h)^2"), (1e120, "ad(h)^3")])
+def test_grade_by_refuses_an_overflowing_power_by_name(sl2, size, name):
+    # the square (or only the cube) of ad(h) overflows: refused with finite
+    # numbers and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotThreeGraded) as exc:
+            grade_by(sl2.algebra, np.array([size, 0.0, 0.0]))
+    assert str(exc.value) == f"{name} overflows: h has an entry of size {size:.3e}"
 
 
 def test_grade_by_rejects_bad_spectrum(sl2):
@@ -556,10 +580,10 @@ def test_trivial_grading_has_bound_one(sl2):
     # with no division by k - 1 = 0, and a fresh array each call
     g = grade_by(sl2.algebra, np.zeros(3))
     assert g.dims == (0, 3, 0) and g.nilpotency_bound == 1
-    u = g.unipotent(np.zeros(3))
+    u = g.inverse_unipotent(np.zeros(3), "leading")
     assert u.tobytes() == np.eye(2).tobytes()
     u[0, 1] = 5.0
-    assert g.unipotent(np.zeros(3)).tobytes() == np.eye(2).tobytes()
+    assert g.inverse_unipotent(np.zeros(3), "leading").tobytes() == np.eye(2).tobytes()
 
 
 @pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
@@ -577,7 +601,7 @@ def test_unipotent_matches_scipy_expm(name):
             off = np.linalg.norm(alg.to_matrix(x - entry.grading.part(x, degree)))
             n = np.linalg.norm(m)
             bound = 16 * EPS * (1.0 + n ** (k - 1)) + off * (1.0 + n) ** (2 * k - 2)
-            err = np.abs(grading.unipotent(x) - scipy.linalg.expm(m)).max()
+            err = np.abs(grading.inverse_unipotent(-x, "leading") - scipy.linalg.expm(m)).max()
             assert err <= bound, (alg.rep_dim, degree, n, err / bound)
 
 
@@ -588,7 +612,8 @@ def test_unipotent_of_minus_x_is_the_inverse(name):
         for _, x in _graded_draws(name, np.random.default_rng(8)):
             m = grading.algebra.to_matrix(x)
             scale = (1.0 + np.linalg.norm(m) ** (k - 1)) ** 2
-            err = np.abs(grading.unipotent(x) @ grading.unipotent(-x) - np.eye(len(m))).max()
+            exp_x = grading.inverse_unipotent(-x, "leading")
+            err = np.abs(exp_x @ grading.inverse_unipotent(x, "trailing") - np.eye(len(m))).max()
             assert err <= 16 * EPS * scale, (grading.algebra.rep_dim, err / (EPS * scale))
 
 

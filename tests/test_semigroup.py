@@ -9,12 +9,12 @@ a = b = 1/2.
 import numpy as np
 import pytest
 
-from grade3 import catalog
+from grade3 import catalog, numkit
 from grade3.cones import graded_parts
 from grade3.errors import AdjointOutOfSpan, BranchCutError, NotInOpenCell, NotPolar
 from grade3.liealg import GroupElement, ad_image
+from grade3.numkit import DEFAULT_TOL
 from grade3.semigroup import (
-    _inverse_factor,
     member_P,
     member_ShC,
     member_decomposed,
@@ -217,7 +217,90 @@ def test_overflowing_factor_is_refused(poincare3):
     assert np.isfinite(poincare3.algebra.to_matrix(x)).all()
     for which in ("leading", "trailing"):
         with pytest.raises(NotInOpenCell, match=f"{which} factor exp\\(-x\\) overflows"):
-            _inverse_factor(grading, x, which)
+            grading.inverse_unipotent(x, which)
+
+
+def _exp_minus(grading, x, which):
+    """exp(-x) for x in g^{+-1}: the terminating Horner sum of the nilpotent
+    -X, refusing an overflowing one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = grading.algebra.to_matrix(-x)
+        k = grading.nilpotency_bound
+        out = np.eye(len(m))
+        if k >= 2:
+            eye = np.eye(len(m))
+            out = eye + m / (k - 1)
+            for j in range(k - 2, 0, -1):
+                out = eye + m @ out / j
+    if not np.isfinite(out).all():
+        raise NotInOpenCell(f"{which} factor exp(-x) overflows")
+    return out
+
+
+def _reference_factor(g, grading, order, tol=DEFAULT_TOL):
+    """The open-cell factorization written with group elements: every
+    conjugation through ad_image, every graded part through Grading.part."""
+    alg, h = g.algebra, grading.h
+    try:
+        if order == "+0-":
+            g = g.inverse()
+        w = ad_image(g, grading, tol)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NotInOpenCell(f"g is numerically singular: {exc}") from exc
+    basis = grading.eigenbasis(-1)
+    mat = basis.T @ (np.eye(alg.dim) - alg.ad(grading.part(w, 0))) @ basis
+    try:
+        sol = np.linalg.lstsq(numkit.require_finite(mat),
+                              numkit.require_finite(basis.T @ (2.0 * grading.part(w, -1))),
+                              rcond=None)[0]
+    except ValueError as exc:
+        raise NotInOpenCell(f"system for x- cannot be solved: {exc}") from exc
+    x_minus = basis @ sol
+    scale = float(np.linalg.norm(w))
+    try:
+        g1 = GroupElement(alg, _exp_minus(grading, x_minus, "leading") @ g.matrix)
+        r = ad_image(g1, grading, tol) - h
+        tol.check(np.linalg.norm(r - grading.part(r, 1)), scale,
+                  NotInOpenCell, "residual conjugation does not reach h + g^{-lead}")
+        x_plus = grading.part(ad_image(g1.inverse(), grading, tol) - h, 1)
+        g0 = GroupElement(alg, g1.matrix @ _exp_minus(grading, x_plus, "trailing"))
+        tol.check(np.linalg.norm(ad_image(g0, grading, tol) - h), scale,
+                  NotInOpenCell, "middle factor does not fix h")
+    except (AdjointOutOfSpan, np.linalg.LinAlgError) as exc:
+        raise NotInOpenCell(f"factor verification failed: {exc}") from exc
+    if order == "+0-":
+        return 0.0 - x_plus, g0.inverse(), 0.0 - x_minus
+    return x_plus, g0, x_minus
+
+
+def _outcome(factor, *args):
+    """Bytes of (x+, g0, g0^{-1}, x-), or the exception's type and message."""
+    try:
+        out = factor(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc).__name__, str(exc)
+    if not isinstance(out, tuple):
+        out = (out.x_plus, out.g0, out.x_minus)
+    x_plus, g0, x_minus = out
+    return x_plus.tobytes(), g0.matrix.tobytes(), g0.inv_matrix.tobytes(), x_minus.tobytes()
+
+
+def test_factorization_is_bit_identical_to_the_group_element_reference():
+    # the one-pass factorization on plain matrices gives the bytes, or the
+    # exception type and message, of the same algorithm on group elements
+    kinds = set()
+    for name in catalog.ENTRY_NAMES:
+        entry = catalog.get_entry(name)
+        for scale in (0.5, 2.0, 5.0):
+            rng = np.random.default_rng(0)
+            for i in range(6):
+                m = catalog.sample_semigroup_element(entry, rng, scale).matrix
+                for order in ("+0-", "-0+"):
+                    got, want = (_outcome(f, GroupElement(entry.algebra, m), entry.grading, order)
+                                 for f in (triangular_factor, _reference_factor))
+                    assert got == want, (name, scale, i, order)
+                    kinds.add(got[0] if isinstance(got[0], str) else "factored")
+    assert kinds == {"factored", "AdjointOutOfSpan", "NotInOpenCell"}
 
 
 # (entry, draw index, orders) at sampler scale 10: draws that leave the open
