@@ -54,16 +54,12 @@ class CatalogEntry:
     cone_minus: Cone
     extras: dict = field(default_factory=dict)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.grading.dims
-
     def to_json(self) -> dict:
         return {
             "name": self.name,
             "description": self.description,
             "dim": int(self.algebra.dim),
-            "dims": list(self.dims),
+            "dims": list(self.grading.dims),
             "h": numkit.float_list(self.h),
             "algebra": self.algebra.to_json(),
             "cone": self.cone.to_json(),
@@ -431,8 +427,7 @@ def sample_polar_domain(entry: CatalogEntry, rng: np.random.Generator,
     At the default scale every draw on the catalog stays in that strip; from
     scale 1 on some leave it, and polar_factor then refuses them (NotPolar)
     or returns another polar factorization than the drawn one."""
-    y = entry.grading.part(sample_algebra_element(entry, rng, scale), 0)
+    g0 = sample_stabilizer(entry, rng, scale)
     raw = sample_algebra_element(entry, rng, scale)
     x = entry.grading.part(raw, 1) + entry.grading.part(raw, -1)
-    alg = entry.algebra
-    return GroupElement.exp(alg, y) @ GroupElement.exp(alg, x)
+    return g0 @ GroupElement.exp(entry.algebra, x)

@@ -27,6 +27,8 @@ __all__ = ["main"]
 
 # Largest N accepted by `--random N`: bounds the N x N matrices it allocates.
 _MAX_RANDOM_DIM = 1024
+# Most basis matrices in a --file algebra: bounds its d^3 structure tensors.
+_MAX_FILE_DIM = 300
 
 
 # -- canonical JSON -----------------------------------------------------
@@ -147,6 +149,15 @@ def _document(args):
     return None
 
 
+def _algebra(doc, what: str) -> LieAlgebraSpec:
+    """The document's 'algebra', refused unbuilt above _MAX_FILE_DIM basis matrices."""
+    spec = _parse(what, doc.__getitem__, "algebra")
+    basis = spec.get("basis") if isinstance(spec, dict) else None
+    if isinstance(basis, list) and len(basis) > _MAX_FILE_DIM:
+        raise UsageError(f"{what}: {len(basis)} basis matrices, more than {_MAX_FILE_DIM}")
+    return _parse(what, LieAlgebraSpec.from_json, spec)
+
+
 def _group_matrix(args, doc) -> np.ndarray:
     """The matrix behind --g, else the document's 'g'."""
     if args.g is not None:
@@ -170,7 +181,7 @@ def _load_setting(args, need_cone=False, need_g=False):
     elif doc is None:
         raise UsageError("need --demo NAME or --file FILE")
     else:
-        algebra = _parse("bad algebra document", lambda: LieAlgebraSpec.from_json(doc["algebra"]))
+        algebra = _algebra(doc, "bad algebra document")
         h = _array(_parse("bad algebra document", doc.__getitem__, "h"), "file entry 'h'", 1)
         grading = grade_by(algebra, h)
         cone = None
@@ -255,7 +266,7 @@ def _cmd_roots(args, tol, rng):
     if args.demo:
         algebra, cartan, _ = catalog.root_fixture(args.demo)
     elif doc is not None:
-        algebra = _parse("bad roots document", lambda: LieAlgebraSpec.from_json(doc["algebra"]))
+        algebra = _algebra(doc, "bad roots document")
         # a flat list is one Cartan row
         cartan = _array(_parse("bad roots document", doc.__getitem__, "cartan"),
                         "file entry 'cartan'", 1, 2)

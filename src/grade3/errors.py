@@ -19,8 +19,7 @@ class NotSelfAdjoint(Grade3Error):
 
 
 class NotThreeGraded(Grade3Error):
-    """ad(h) spectrum does not cluster on {-1, 0, +1}, or bracket
-    compatibility of the eigenspaces fails."""
+    """ad(h)^3 differs from ad(h), or a power of ad(h) overflows."""
 
 
 class AdjointOutOfSpan(Grade3Error):
@@ -28,8 +27,8 @@ class AdjointOutOfSpan(Grade3Error):
 
 
 class NoTauImplementation(Grade3Error):
-    """Group-level involution requested but the algebra carries no
-    implementing matrix."""
+    """Group-level involution requested but the algebra's tau_matrix is
+    missing or does not implement the grading's tau."""
 
 
 class AmbientMismatch(Grade3Error):

@@ -179,11 +179,15 @@ def _cut_distance(z: complex) -> float:
 
 
 @functools.cache
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
-    built on first use, so numpy.polynomial is not imported until a log or
-    an integral needs it."""
-    return np.polynomial.legendre.leggauss(n)
+def _gauss_legendre(n: int, unit: bool = False):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], or
+    mapped to [0, 1] when unit, as read-only arrays built on first use, so
+    numpy.polynomial is not imported until a log or an integral needs it."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    if unit:
+        nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # The degree-8 Gauss-Legendre Pade approximant to log(I + X), from the rule
@@ -231,8 +235,7 @@ def logm_principal(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
                 f"{k} square roots did not bring the Schur factor near I")
         t, k = scipy.linalg.sqrtm(t), k + 1
     x = t - eye
-    nodes, weights = _gauss_legendre(_LOG_DEGREE)
-    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    nodes, weights = _gauss_legendre(_LOG_DEGREE, unit=True)
     terms = np.linalg.solve(eye + nodes[:, None, None] * x,
                             np.broadcast_to(x, (len(nodes),) + x.shape))
     log_t = np.exp2(k) * np.tensordot(weights, terms, axes=1)
@@ -392,10 +395,11 @@ def clusters(vals, gap: float) -> list[np.ndarray]:
 
 
 def _merge_clusters(vals) -> np.ndarray:
-    """vals with each CLUSTER_GAP run of clusters() merged onto its mean."""
+    """vals with each CLUSTER_GAP run of two or more merged onto its mean."""
     out = vals.copy()
     for run in clusters(vals, CLUSTER_GAP):
-        out[run] = vals[run].mean()
+        if len(run) > 1:
+            out[run] = vals[run].mean()
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numkit
 from .cones import Cone, graded_parts
-from .errors import AdjointOutOfSpan, NotInOpenCell, NotPolar
+from .errors import AdjointOutOfSpan, NoTauImplementation, NotInOpenCell, NotPolar
 from .liealg import Grading, GroupElement, ad_image, conjugate_coords, sharp
 from .numkit import DEFAULT_TOL, Tolerance
 
@@ -168,22 +168,23 @@ def polar_factor(g: GroupElement, grading: Grading,
                  tol: Tolerance = DEFAULT_TOL) -> PolarFactorization:
     """Polar-type factorization g = g0 exp(x), tau(x) = -x, Ad(g0)h = h.
 
-    Computes m = sharp(g) g = exp(2x) and halves its principal log.
+    Computes m = sharp(g) g = exp(2x) and halves its principal log, which
+    is tau-antifixed when the tau_matrix T implements tau: NoTauImplementation
+    flags Grading.tau_defect above tol, as tau_group flags a missing T.
     BranchCutError from the log propagates; NotPolar flags a log outside the
-    algebra, a tau-symmetric part in x, or a bad unit factor.
+    algebra or a bad unit factor.
     """
     alg = g.algebra
     try:
         m = (sharp(g) @ g).matrix
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NotPolar(f"g is numerically singular: {exc}") from exc
+    tol.check(*grading.tau_defect, NoTauImplementation, "tau_matrix does not implement tau")
     logm = numkit.logm_principal(m, tol)
     v, res = alg.try_coords(logm)
     tol.check(float(res), float(np.abs(logm).max(initial=0.0)), NotPolar,
               "log of sharp(g) g leaves the algebra")
     x = v / 2.0
-    tol.check(np.linalg.norm(grading.tau @ x + x), float(np.linalg.norm(x)),
-              NotPolar, "odd part of the factorization is not tau-antifixed")
     g0 = g @ GroupElement.exp(alg, -x)
     tol.check(np.linalg.norm(ad_image(g0, grading, tol) - grading.h), 1.0,
               NotPolar, "unit factor does not fix h")

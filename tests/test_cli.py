@@ -218,6 +218,22 @@ def test_random_dimension_is_capped(capsys):
         assert code == 2 and out == ""
 
 
+def test_file_algebra_dimension_is_capped(capsys, tmp_path):
+    # 301 basis matrices of size 1 x 1 are refused before the algebra is
+    # built; 300 pass the cap and reach the construction, which refuses them
+    # as dependent
+    for n, reason in ((301, "301 basis matrices, more than 300"),
+                      (300, "basis matrices are linearly dependent")):
+        algebra = {"name": "big", "rep_dim": 1,
+                   "basis": [{"rows": 1, "cols": 1, "re": [1.0]}] * n}
+        path = tmp_path / f"big{n}.json"
+        path.write_text(json.dumps({"algebra": algebra, "h": [0.0] * n, "cartan": [[1.0] * n]}))
+        for verb, what in (("grade", "algebra"), ("member", "algebra"), ("factor", "algebra"),
+                           ("polar", "algebra"), ("roots", "roots")):
+            code, out, err = run_cli(capsys, verb, "--file", str(path))
+            assert (code, out, err) == (2, "", f"error: bad {what} document: {reason}\n")
+
+
 def test_compact_and_pretty_agree(capsys):
     _, pretty, _ = run_cli(capsys, "grade", "--demo", "poincare3")
     _, compact, _ = run_cli(capsys, "grade", "--demo", "poincare3", "--json")

@@ -6,13 +6,21 @@ exp(a e) diag(d, 1/d) exp(b f) = [[d + ab/d, a/d], [b/d, 1/d]], so the
 a = b = 1/2.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from grade3 import catalog, numkit
 from grade3.cones import graded_parts
-from grade3.errors import AdjointOutOfSpan, BranchCutError, NotInOpenCell, NotPolar
-from grade3.liealg import GroupElement, ad_image
+from grade3.errors import (
+    AdjointOutOfSpan,
+    BranchCutError,
+    NoTauImplementation,
+    NotInOpenCell,
+    NotPolar,
+)
+from grade3.liealg import Grading, GroupElement, LieAlgebraSpec, ad_image, grade_by
 from grade3.numkit import DEFAULT_TOL
 from grade3.semigroup import (
     member_P,
@@ -163,6 +171,46 @@ def test_polar_singular_element_is_not_polar(name, m):
     entry = catalog.get_entry(name)
     with pytest.raises(NotPolar, match="numerically singular"):
         polar_factor(g_of(entry, m), entry.grading)
+
+
+def test_polar_refuses_a_tau_matrix_that_does_not_implement_tau(sl2):
+    # T = I conjugates e to e, where tau(e) = -e: T b T^-1 - tau(b) = 2b on
+    # e and f, at scale max|b_i| ||I|| ||I|| = 1 * sqrt(2) * sqrt(2)
+    alg = LieAlgebraSpec("sl2", sl2.algebra.basis.real, tau_matrix=np.eye(2))
+    with pytest.raises(NoTauImplementation) as exc:
+        polar_factor(g_of(sl2, G_IN), grade_by(alg, sl2.h))
+    assert str(exc.value) == ("tau_matrix does not implement tau: residual 2.000e+00 "
+                              "above gate 3.000e-09 at scale 2.000e+00")
+
+
+def test_polar_without_a_tau_matrix_keeps_tau_groups_refusal(sl2):
+    alg = LieAlgebraSpec("plain", sl2.algebra.basis.real)
+    with pytest.raises(NoTauImplementation, match="^algebra plain has no tau matrix$"):
+        polar_factor(GroupElement(alg, G_IN), grade_by(alg, sl2.h))
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_every_catalog_tau_matrix_implements_tau(name):
+    grading = catalog.get_entry(name).grading
+    residual, scale = grading.tau_defect
+    assert residual <= 2e-15 and DEFAULT_TOL.accepts(residual, scale)
+
+
+def test_polar_computes_the_tau_defect_once_per_grading(sl2, monkeypatch):
+    calls = []
+    defect = Grading.tau_defect.func
+
+    def counted(grading):
+        calls.append(grading)
+        return defect(grading)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Grading, "tau_defect")
+    monkeypatch.setattr(Grading, "tau_defect", prop)
+    grading = grade_by(sl2.algebra, sl2.h)
+    for _ in range(2):
+        polar_factor(g_of(sl2, G_IN), grading)
+    assert calls == [grading]
 
 
 def test_polar_domain_draws_outside_the_principal_strip_are_refused(poincare3):
