@@ -29,6 +29,7 @@ __all__ = [
     "GroupElement",
     "grade_by",
     "adjoint",
+    "adjoints",
     "ad_image",
     "conjugate_coords",
     "tau_group",
@@ -99,9 +100,13 @@ class LieAlgebraSpec:
 
     @functools.cached_property
     def _tau_inverse(self) -> np.ndarray:
-        """Inverse of tau_matrix, computed on first use; a singular tau
-        raises LinAlgError at every use."""
-        return np.linalg.inv(self.tau_matrix)
+        """Inverse of tau_matrix, computed on first use; a singular
+        tau_matrix raises NoTauImplementation at every use."""
+        try:
+            return np.linalg.inv(self.tau_matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NoTauImplementation(
+                f"algebra {self.name} has a singular tau_matrix") from exc
 
     def to_matrix(self, x) -> np.ndarray:
         """Representing matrix of the coefficient vector x."""
@@ -346,9 +351,27 @@ def conjugate_coords(algebra: LieAlgebraSpec, m, m_inv, xm, tol: Tolerance, what
     """Coefficients of m X m_inv (m a group element's matrix) for one matrix X
     or a stack; AdjointOutOfSpan when the worst residual exceeds the gate at
     scale ||m|| x_scale ||m_inv||, the size roundoff actually reaches when the
-    conjugation cancels.  x_scale defaults to the Frobenius norm of X."""
-    v, res = algebra.try_coords(m @ xm @ m_inv)
-    worst = res.max() if res.ndim else float(res)
+    conjugation cancels.  x_scale defaults to the Frobenius norm of X.
+
+    m and m_inv may be stacks (N, r, r) of group elements, with X a stack
+    (k, r, r); the coefficients are then (N, k, dim).  Each element is gated
+    on its own worst residual, and the first failing one in stack order
+    raises the message it raises alone.  Stacked products and solves run one
+    matrix at a time, so every element gets the bits of its own call."""
+    if m.ndim == 2:
+        v, res = algebra.try_coords(m @ xm @ m_inv)
+        _gate_conjugate(res.max() if res.ndim else float(res), m, m_inv, xm, tol, what,
+                        x_scale)
+        return v
+    v, res = algebra.try_coords(m[:, None] @ xm @ m_inv[:, None])
+    worst = res.reshape(len(m), -1).max(axis=1)
+    for i in np.flatnonzero(~(worst <= tol.gate())):
+        _gate_conjugate(worst[i], m[i], m_inv[i], xm, tol, what, x_scale)
+    return v
+
+
+def _gate_conjugate(worst, m, m_inv, xm, tol: Tolerance, what: str, x_scale) -> None:
+    """conjugate_coords' gate for one group element m."""
     # The gate floors its scale at 1, so a residual within the gate at
     # scale 1 passes at any scale without the norms; NaN falls through.
     if not worst <= tol.gate():
@@ -356,7 +379,6 @@ def conjugate_coords(algebra: LieAlgebraSpec, m, m_inv, xm, tol: Tolerance, what
             x_scale = np.linalg.norm(xm)
         scale = float(np.linalg.norm(m) * x_scale * np.linalg.norm(m_inv))
         tol.check(worst, scale, AdjointOutOfSpan, what)
-    return v
 
 
 def ad_image(g: GroupElement, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -367,10 +389,17 @@ def ad_image(g: GroupElement, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def adjoint(g: GroupElement, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Matrix of Ad(g) on coefficient vectors."""
-    alg = g.algebra
-    return conjugate_coords(alg, g.matrix, g.inv_matrix, alg.basis, tol, "Ad(g)",
-                            alg._basis_scale).T
+    """Matrix of Ad(g) on coefficient vectors: adjoints for one element."""
+    return adjoints(g.algebra, g.matrix[None], g.inv_matrix[None], tol)[0]
+
+
+def adjoints(algebra: LieAlgebraSpec, ms, m_invs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Matrices of Ad(g) on coefficient vectors, shape (N, dim, dim), for a
+    stack ms (N, r, r) of group-element matrices and m_invs of their
+    inverses: one conjugation of the basis by every element, gated per
+    element at the basis's scale as in conjugate_coords."""
+    return conjugate_coords(algebra, ms, m_invs, algebra.basis, tol, "Ad(g)",
+                            algebra._basis_scale).transpose(0, 2, 1)
 
 
 def tau_group(g: GroupElement) -> GroupElement:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grade3 import catalog, cli
+from grade3 import catalog, cli, numkit
 from grade3.cli import _build_parser, _plain, main, render_json
 
 
@@ -363,6 +363,19 @@ def test_grade_file_refuses_an_overflowing_ad_h_squared(capsys, tmp_path):
     assert json.loads(out) == {
         "error": "NotThreeGraded",
         "detail": "ad(h)^2 overflows: h has an entry of size 1.000e+200"}
+
+
+def test_polar_file_with_a_singular_tau_matrix_is_a_json_error(capsys, tmp_path):
+    entry = catalog.get_entry("sl2")
+    algebra = {**entry.algebra.to_json(),
+               "tau_matrix": numkit.matrix_to_json(np.diag([1.0, 0.0]))}
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps({"algebra": algebra, "h": [float(v) for v in entry.h],
+                                "cone": entry.cone.to_json(), "g": [[2.0, 1.0], [1.0, 1.0]]}))
+    code, out, err = run_cli(capsys, "polar", "--file", str(path))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": "NoTauImplementation",
+                               "detail": "algebra sl2 has a singular tau_matrix"}
 
 
 def test_file_missing(capsys):

@@ -17,6 +17,7 @@ from grade3.cones import (
     poly_gram,
 )
 from grade3.errors import AmbientMismatch
+from grade3.liealg import GroupElement, adjoint
 
 
 def quadrant():
@@ -335,6 +336,42 @@ def test_invariance_check_on_catalog(sl2, poincare3, rng):
         assert rep["ok"]
         assert rep["max_ad_violation"] <= 1e-8
         assert rep["max_tau_violation"] <= 1e-8
+
+
+def _invariance_draw_by_draw(cone, algebra, samples, tol, rng, tau):
+    """invariance_check as one group element at a time: exp of each factor,
+    the word's product and adjoint, per draw."""
+    ad_worst = tau_worst = 0.0
+    for _ in range(samples):
+        x = cone.sample(rng)
+        factors = []
+        for _ in range(rng.integers(1, 3)):
+            e = np.zeros(algebra.dim)
+            e[rng.integers(algebra.dim)] = rng.uniform(-1.0, 1.0)
+            factors.append(GroupElement.exp(algebra, e))
+        g = factors[0]
+        for f in factors[1:]:
+            g = g @ f
+        ad_worst = max(ad_worst, cone.violation(adjoint(g, tol) @ x))
+        tau_worst = max(tau_worst, cone.violation(-(tau @ x)))
+    return {"samples": int(samples), "max_ad_violation": float(ad_worst),
+            "max_tau_violation": float(tau_worst),
+            "ok": tol.accepts(ad_worst) and tol.accepts(tau_worst)}
+
+
+@pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
+def test_invariance_check_equals_the_draw_by_draw_loop(name):
+    # the stacked exp, inverse and Ad solve give every draw its own bits
+    entry = catalog.get_entry(name)
+    for samples in (0, 1, 10, 50):
+        for seed in range(3):
+            args = (entry.cone, entry.algebra, samples, numkit.DEFAULT_TOL)
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = _invariance_draw_by_draw(*args, want_rng, entry.grading.tau)
+            got = invariance_check(*args, rng=got_rng, tau=entry.grading.tau)
+            assert json.dumps(got) == json.dumps(want)
+            assert repr(got) == repr(want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("name", catalog.ENTRY_NAMES)

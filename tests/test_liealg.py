@@ -29,6 +29,7 @@ from grade3.liealg import (
     LieAlgebraSpec,
     ad_image,
     adjoint,
+    adjoints,
     grade_by,
     sharp,
     tau_group,
@@ -338,6 +339,33 @@ def test_ad_image_out_of_span():
     rot = GroupElement(line, np.array([[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(AdjointOutOfSpan):
         ad_image(rot, np.array([1.0]))
+
+
+def test_adjoints_gate_each_element_as_adjoint_does(poincare3, rng):
+    # a generic invertible matrix does not normalize the algebra: its
+    # conjugates leave the span, and a stack holding it raises that
+    # element's own message; the first failing element in stack order wins
+    alg = poincare3.algebra
+    good = [catalog.sample_group_element(poincare3, rng) for _ in range(3)]
+    bad = [GroupElement(alg, rng.normal(size=(alg.rep_dim,) * 2) + 3.0 * np.eye(alg.rep_dim))
+           for _ in range(2)]
+    messages = []
+    for g in bad:
+        with pytest.raises(AdjointOutOfSpan) as exc:
+            adjoint(g)
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
+    for order, want in (([0, 3, 1, 4, 2], messages[0]), ([4, 0, 3], messages[1])):
+        stack = [(good + bad)[i] for i in order]
+        with pytest.raises(AdjointOutOfSpan) as exc:
+            adjoints(alg, np.stack([g.matrix for g in stack]),
+                     np.stack([g.inv_matrix for g in stack]))
+        assert str(exc.value) == want
+    ads = adjoints(alg, np.stack([g.matrix for g in good]),
+                   np.stack([g.inv_matrix for g in good]))
+    assert ads.shape == (3, alg.dim, alg.dim)
+    for g, ad in zip(good, ads):
+        assert np.array_equal(ad, adjoint(g))
 
 
 def test_tau_group_and_sharp(sl2):

@@ -20,7 +20,15 @@ from grade3.errors import (
     NotInOpenCell,
     NotPolar,
 )
-from grade3.liealg import Grading, GroupElement, LieAlgebraSpec, ad_image, grade_by
+from grade3.liealg import (
+    Grading,
+    GroupElement,
+    LieAlgebraSpec,
+    ad_image,
+    grade_by,
+    sharp,
+    tau_group,
+)
 from grade3.numkit import DEFAULT_TOL
 from grade3.semigroup import (
     member_P,
@@ -187,6 +195,17 @@ def test_polar_without_a_tau_matrix_keeps_tau_groups_refusal(sl2):
     alg = LieAlgebraSpec("plain", sl2.algebra.basis.real)
     with pytest.raises(NoTauImplementation, match="^algebra plain has no tau matrix$"):
         polar_factor(GroupElement(alg, G_IN), grade_by(alg, sl2.h))
+
+
+def test_a_singular_tau_matrix_is_refused_by_name_at_every_use(sl2):
+    # T = diag(1, 0) has no inverse: every path through T^{-1} names it
+    alg = LieAlgebraSpec("sl2", sl2.algebra.basis.real, tau_matrix=np.diag([1.0, 0.0]))
+    grading, g = grade_by(alg, sl2.h), GroupElement(alg, G_IN)
+    for use in (lambda: polar_factor(g, grading), lambda: tau_group(g), lambda: sharp(g),
+                lambda: grading.tau_defect):
+        with pytest.raises(NoTauImplementation,
+                           match="^algebra sl2 has a singular tau_matrix$"):
+            use()
 
 
 @pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
