@@ -27,7 +27,7 @@ __all__ = ["main"]
 
 # Largest N accepted by `--random N`: bounds the N x N matrices it allocates.
 _MAX_RANDOM_DIM = 1024
-# Most basis matrices in a --file algebra: bounds its d^3 structure tensors.
+# Most basis matrices in a --file algebra: bounds its d^3 structure tensor.
 _MAX_FILE_DIM = 300
 
 

@@ -41,14 +41,14 @@ class LieAlgebraSpec:
     """A real Lie algebra given by a linearly independent matrix basis.
 
     Coefficient vectors are always real; the representing matrices may be
-    complex (e.g. su(2)).  Construction derives structure constants and
+    complex (e.g. su(2)).  Construction derives the structure constants and
     fails if the basis is dependent or the bracket does not close.  A real
     representation (every basis matrix real) builds matrices and solves
     coordinates of real matrices in real arithmetic.
 
-    ad_tensor[i] is the matrix of ad(b_i) on coefficient vectors, so
-    ad(x) = sum_i x_i ad_tensor[i] and ad_tensor[i, k, j] is coordinate k
-    of [b_i, b_j].
+    ad_tensor, the one structure tensor, holds the matrix of ad(b_i) on
+    coefficient vectors as ad_tensor[i]: ad(x) = sum_i x_i ad_tensor[i], and
+    ad_tensor[i, k, j] is coordinate k of [b_i, b_j].  bracket reads it too.
     """
 
     def __init__(self, name, basis, tau_matrix=None):
@@ -56,7 +56,7 @@ class LieAlgebraSpec:
         mats = [numkit.require_finite(b, f"basis[{i}]") for i, b in enumerate(basis)]
         if not mats:
             raise ValueError("empty basis")
-        r = mats[0].shape[0]
+        r = mats[0].shape[0] if mats[0].ndim else 0
         if any(m.shape != (r, r) for m in mats):
             raise ValueError("basis matrices must be square and same-shaped")
         self.rep_dim = r
@@ -83,20 +83,20 @@ class LieAlgebraSpec:
             self._coord_map = np.ascontiguousarray(self._pinv[:, :r * r]).T
         self._basis_scale = max(1.0, float(np.abs(self.basis).max()))
 
-        # Structure constants C[i, j, k]: coordinate k of [b_i, b_j], solved
-        # one basis row i at a time: the working set is one (d, r, r) stack.
-        # Row i is b_i [b_0 | ... | b_{d-1}] - [b_0; ...; b_{d-1}] b_i: two products.
+        # ad_tensor[i] from the coordinates of [b_i, b_j], solved one basis
+        # row i at a time: the working set is one (d, r, r) stack.  Row i is
+        # b_i [b_0 | ... | b_{d-1}] - [b_0; ...; b_{d-1}] b_i: two products.
         d = self.dim
         wide = self.basis.transpose(1, 0, 2).reshape(r, d * r)
         tall = self.basis.reshape(d * r, r)
-        self.structure_constants = np.empty((d,) * 3)
+        self.ad_tensor = np.empty((d,) * 3)
         res = np.empty((d, d))
         for i, b in enumerate(self.basis):
             comm = (b @ wide).reshape(r, d, r).transpose(1, 0, 2) - (tall @ b).reshape(d, r, r)
-            self.structure_constants[i], res[i] = self.try_coords(comm)
+            row, res[i] = self.try_coords(comm)
+            self.ad_tensor[i] = row.T
         DEFAULT_TOL.check(float(res.max()), self._basis_scale * self._basis_scale, ValueError,
                           "bracket does not close over the basis")
-        self.ad_tensor = np.ascontiguousarray(np.transpose(self.structure_constants, (0, 2, 1)))
 
     @functools.cached_property
     def _tau_inverse(self) -> np.ndarray:
@@ -145,7 +145,7 @@ class LieAlgebraSpec:
 
     def bracket(self, x, y) -> np.ndarray:
         """Lie bracket of coefficient vectors."""
-        return np.einsum("i,j,ijk->k", x, y, self.structure_constants)
+        return np.einsum("i,j,ikj->k", x, y, self.ad_tensor)
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x) on coefficient vectors."""
@@ -154,7 +154,8 @@ class LieAlgebraSpec:
     def jacobi_defect(self) -> float:
         """Largest Jacobi-identity residual over basis triples.
 
-        With u[p, q, s] = [[b_p, b_q], b_s] = C[p, q] @ C[:, s], the triples
+        With C[p, q, s] = ad_tensor[p, s, q], coordinate s of [b_p, b_q],
+        and u[p, q, s] = [[b_p, b_q], b_s] = C[p, q] @ C[:, s], the triples
         i < j < k are read in groups of equal smallest index i.  The constants
         are exactly antisymmetric (the commutators are formed as an exact
         difference), so a reordering of a triple only permutes and negates its
@@ -163,10 +164,10 @@ class LieAlgebraSpec:
         pairings (a + b) + e, (b + e) + a, (e + a) + b.  Group i forms a and b
         on the grid j, k > i, where cell (k, j) holds -e, -b, -a: so (a + b) + e
         there covers the first two pairings, and the diagonal sums to zero.
-        The working set is O(d^3) floats, a few (d-i-1, d-i-1, d) arrays.
-        Fewer than three basis elements give 0.0.
+        The working set is O(d^3) floats: C, held for the call, and a few
+        (d-i-1, d-i-1, d) arrays.  Fewer than three basis elements give 0.0.
         """
-        c = self.structure_constants
+        c = np.ascontiguousarray(self.ad_tensor.transpose(0, 2, 1))
         d = len(c)
         worst = 0.0
         for i in range(d - 2):
@@ -287,14 +288,15 @@ def grade_by(algebra: LieAlgebraSpec, h) -> Grading:
 
     ad(h) is diagonalizable with spectrum in {-1, 0, 1} exactly when
     ad(h)^3 = ad(h): that identity is the one gate, at the default tolerance
-    and the scale of ad(h)^3's largest entry.  A square or cube of ad(h)
-    that overflows is refused first, by name, with the size of h.  The
-    projectors are the Lagrange polynomials of ad(h) at {-1, 0, 1}; they
-    bracket by degree with no further check (module docstring).  O(d^3).
+    and the scale of ad(h)^3's largest entry.  A non-finite h is refused
+    first, then a square or cube of ad(h) that overflows, with h's size.
+    The projectors are the Lagrange polynomials of ad(h) at {-1, 0, 1};
+    they bracket by degree with no further check (module docstring).  O(d^3).
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (algebra.dim,):
         raise ValueError("h must be a coefficient vector of the algebra")
+    numkit.require_finite(h, "h")
     with np.errstate(over="ignore", invalid="ignore"):
         a = algebra.ad(h)
         a2 = a @ a
@@ -318,23 +320,20 @@ class GroupElement:
         if m.shape != (algebra.rep_dim, algebra.rep_dim):
             raise ValueError("group element has wrong shape for the representation")
         self.matrix = m
-        self._inv = None
 
     @classmethod
     def exp(cls, algebra: LieAlgebraSpec, x) -> "GroupElement":
         """exp of the coefficient vector x."""
         return cls(algebra, numkit.expm(algebra.to_matrix(x)))
 
-    @property
+    @functools.cached_property
     def inv_matrix(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = np.linalg.inv(self.matrix)
-        return self._inv
+        return np.linalg.inv(self.matrix)
 
     def inverse(self) -> "GroupElement":
         """g^{-1}, holding g's matrix as its inverse."""
         out = GroupElement(self.algebra, self.inv_matrix)
-        out._inv = self.matrix
+        out.inv_matrix = self.matrix
         return out
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":

@@ -55,6 +55,12 @@ ALGEBRAS = [catalog.get_entry(n).algebra for n in catalog.ENTRY_NAMES] + [
 EPS = np.finfo(np.float64).eps
 
 
+def _constants(alg):
+    """C[i, j, k], coordinate k of [b_i, b_j]: ad_tensor transposed, laid
+    out C-contiguously, the layout the einsum references are pinned on."""
+    return np.ascontiguousarray(alg.ad_tensor.transpose(0, 2, 1))
+
+
 def _bound(alg, scale):
     """Forward-error bound of a float64 sum over the 2 r^2 stacked matrix
     entries that one coordinate solve adds up, for data of size scale."""
@@ -70,7 +76,7 @@ def test_structure_constants_match_pairwise_solve(alg):
             bi, bj = alg.basis[i], alg.basis[j]
             ref[i, j], res = alg.try_coords(bi @ bj - bj @ bi)
             assert res <= _bound(alg, alg._basis_scale**2)
-    np.testing.assert_allclose(alg.structure_constants, ref, rtol=0,
+    np.testing.assert_allclose(_constants(alg), ref, rtol=0,
                                atol=_bound(alg, np.abs(ref).max()))
 
 
@@ -82,7 +88,7 @@ def test_structure_constants_bit_identical_to_the_einsum_commutators(alg):
     # builds, the complex su2 basis included.
     comm = np.einsum("iab,jbc->ijac", alg.basis, alg.basis)
     ref, _ = alg.try_coords(comm - np.transpose(comm, (1, 0, 2, 3)))
-    np.testing.assert_array_equal(alg.structure_constants, ref)
+    np.testing.assert_array_equal(_constants(alg), ref)
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS + [catalog.root_fixture("sl2")[0]],
@@ -90,10 +96,10 @@ def test_structure_constants_bit_identical_to_the_einsum_commutators(alg):
 def test_structure_constants_bit_identical_to_the_batched_products(alg):
     # one basis row at a time as two batched products b_i B and B b_i, each
     # pair's product formed twice: the same bits as one product per side
-    ref = np.empty_like(alg.structure_constants)
+    ref = np.empty_like(alg.ad_tensor)
     for i, b in enumerate(alg.basis):
         ref[i], _ = alg.try_coords(b @ alg.basis - alg.basis @ b)
-    assert alg.structure_constants.tobytes() == ref.tobytes()
+    assert _constants(alg).tobytes() == ref.tobytes()
     assert alg.ad_tensor.tobytes() == np.ascontiguousarray(ref.transpose(0, 2, 1)).tobytes()
 
 
@@ -126,7 +132,7 @@ def _jacobi_reference(c):
 def test_jacobi_defect_matches_cyclic_sum_reference(name):
     # the triples i < j < k in three pairings reproduce every ordering
     alg = catalog.get_entry(name).algebra
-    assert alg.jacobi_defect() == _jacobi_reference(alg.structure_constants)
+    assert alg.jacobi_defect() == _jacobi_reference(_constants(alg))
 
 
 @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
@@ -136,8 +142,9 @@ def test_jacobi_defect_of_a_non_lie_tensor(jacobi1, rng, integer):
     d = jacobi1.algebra.dim
     x = rng.integers(-3, 4, size=(d, d, d)) if integer else rng.normal(size=(d, d, d))
     alg = copy.copy(jacobi1.algebra)
-    alg.structure_constants = (x - x.transpose(1, 0, 2)).astype(float)
-    ref = _jacobi_reference(alg.structure_constants)
+    c = (x - x.transpose(1, 0, 2)).astype(float)
+    alg.ad_tensor = c.transpose(0, 2, 1)
+    ref = _jacobi_reference(c)
     assert ref > 1.0
     if integer:
         assert alg.jacobi_defect() == ref
@@ -181,17 +188,25 @@ def test_jacobi_defect_peak_memory():
     alg = copy.copy(catalog.get_entry("jacobi3").algebra)
     d = alg.dim
     dense = _antisymmetric(d, np.random.default_rng(3), False, {"dense"})
-    for c in (alg.structure_constants, dense):
-        alg.structure_constants = c
+    for t in (alg.ad_tensor, dense.transpose(0, 2, 1)):
+        alg.ad_tensor = t
         assert _traced_peak(alg.jacobi_defect) <= 16 * 8 * d**3
 
 
 def test_structure_constants_peak_memory():
-    # one basis row of commutators at a time: the constants and their
-    # transposed copy (2 d^3 floats) dominate, not a (d, d, r, r) stack
+    # one basis row of commutators at a time: the one structure tensor,
+    # ad_tensor (d^3 floats), dominates, not a (d, d, r, r) stack
     basis = catalog.get_entry("jacobi3").algebra.basis.real
     d = len(basis)
     assert _traced_peak(lambda: LieAlgebraSpec("jacobi3", list(basis))) <= 4 * 8 * d**3
+
+
+def test_sp12_build_holds_one_structure_tensor():
+    # at d = 78 the d^3 tensor outweighs the rest of the construction: a
+    # second d^3 copy of the constants would take the peak past 2 d^3 floats
+    basis = catalog._sp_basis(6)
+    d = len(basis)
+    assert _traced_peak(lambda: LieAlgebraSpec("sp12", basis)) <= 1.75 * 8 * d**3
 
 
 def test_grading_suite_peak_memory():
@@ -209,8 +224,9 @@ def test_jacobi_defect_of_random_antisymmetric_tensors(jacobi1, d, seed, integer
     # zero pair rows, single-entry rows and dense rows in any mix; integer
     # entries keep every sum exact, so both routes agree to the bit
     alg = copy.copy(jacobi1.algebra)
-    alg.structure_constants = _antisymmetric(d, np.random.default_rng(seed), integer, kinds)
-    ref = _jacobi_reference(alg.structure_constants) if d else 0.0
+    c = _antisymmetric(d, np.random.default_rng(seed), integer, kinds)
+    alg.ad_tensor = c.transpose(0, 2, 1)
+    ref = _jacobi_reference(c) if d else 0.0
     if integer:
         assert alg.jacobi_defect() == ref
     else:
@@ -239,6 +255,13 @@ def test_dependent_basis_rejected():
         LieAlgebraSpec("dep", [e, 2 * e])
 
 
+@pytest.mark.parametrize("entry", [np.float64(1.0), np.ones(2), np.ones((2, 2, 2))],
+                         ids=["0-d", "1-d", "3-d"])
+def test_basis_entry_that_is_not_a_matrix_rejected(entry):
+    with pytest.raises(ValueError, match="^basis matrices must be square and same-shaped$"):
+        LieAlgebraSpec("x", [entry])
+
+
 def test_non_closing_bracket_rejected():
     e = np.array([[0.0, 1.0], [0.0, 0.0]])
     f = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -250,8 +273,7 @@ def test_non_closing_bracket_rejected():
 def test_algebra_json_roundtrip(sl2):
     alg = sl2.algebra
     back = LieAlgebraSpec.from_json(alg.to_json())
-    np.testing.assert_allclose(back.structure_constants,
-                               alg.structure_constants, atol=1e-12)
+    np.testing.assert_allclose(back.ad_tensor, alg.ad_tensor, atol=1e-12)
     np.testing.assert_allclose(back.tau_matrix, alg.tau_matrix)
 
 
@@ -281,6 +303,18 @@ def test_grade_by_refuses_an_overflowing_power_by_name(sl2, size, name):
         with pytest.raises(NotThreeGraded) as exc:
             grade_by(sl2.algebra, np.array([size, 0.0, 0.0]))
     assert str(exc.value) == f"{name} overflows: h has an entry of size {size:.3e}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grade_by_refuses_a_non_finite_h_by_name(sl2, bad):
+    # refused before ad(h) is formed, so no overflow message names it; a
+    # wrong length is still refused first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^h has non-finite entries$"):
+            grade_by(sl2.algebra, np.array([bad, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="^h must be a coefficient vector of the algebra$"):
+            grade_by(sl2.algebra, np.array([bad, 0.0]))
 
 
 def test_grade_by_rejects_bad_spectrum(sl2):
@@ -531,13 +565,13 @@ def test_products_and_inverses_keep_the_finite_invariant(sl2):
 def test_brackets_match_the_optimized_einsum_bit_for_bit(name):
     # the census's bracket-compatibility check forms these blocks from the
     # ad tensor, ad(u_a) v_b; they must give the bits the optimized einsum
-    # over the structure constants gives
+    # over the structure constants (ad_tensor transposed) gives
     entry = catalog.get_entry(name)
     alg, g = entry.algebra, entry.grading
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             u, v = g.eigenbasis(di), g.eigenbasis(dj)
-            want = np.einsum("ia,ijk,jb->akb", u, alg.structure_constants, v, optimize=True)
+            want = np.einsum("ia,ijk,jb->akb", u, _constants(alg), v, optimize=True)
             got = np.tensordot(u.T, alg.ad_tensor, 1) @ v
             assert got.shape == want.shape
             assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (di, dj)

@@ -62,7 +62,7 @@ def test_tau_bracket_defect_with_non_diagonal_tau():
     tau = grade_by(alg, alg.coords(h)).tau
     assert np.abs(tau - np.diag(np.diag(tau))).max() > 1.0
     perturbed = tau + 1e-6 * np.random.default_rng(5).normal(size=tau.shape)
-    c = alg.structure_constants
+    c = np.ascontiguousarray(alg.ad_tensor.transpose(0, 2, 1))
     for t, automorphism in ((tau, True), (tau.T, False), (perturbed, False)):
         got = verify._tau_bracket_defect(alg.ad_tensor, t)
         assert got == pytest.approx(_tau_bracket_reference(c, t), rel=1e-9, abs=1e-12)
@@ -72,7 +72,8 @@ def test_tau_bracket_defect_with_non_diagonal_tau():
 @pytest.mark.parametrize("name", catalog.ENTRY_NAMES)
 def test_tau_bracket_defect_matches_the_optimized_einsum_bit_for_bit(name):
     entry = catalog.get_entry(name)
-    c, tau = entry.algebra.structure_constants, entry.grading.tau
+    c = np.ascontiguousarray(entry.algebra.ad_tensor.transpose(0, 2, 1))
+    tau = entry.grading.tau
     rhs = np.einsum("ai,bj,abk->ijk", tau, tau, c, optimize=True)
     want = float(np.abs(c @ tau.T - rhs)[np.triu_indices(len(c), 1)].max(initial=0.0))
     assert verify._tau_bracket_defect(entry.algebra.ad_tensor, tau) == want
