@@ -42,7 +42,8 @@ class LieAlgebraSpec:
 
     Coefficient vectors are always real; the representing matrices may be
     complex (e.g. su(2)).  Construction derives the structure constants and
-    fails if the basis is dependent or the bracket does not close.  A real
+    fails if the basis is dependent or the bracket does not close; the worst
+    coordinate residual of the commutators is kept as closure_residual.  A real
     representation (every basis matrix real) builds matrices and solves
     coordinates of real matrices in real arithmetic.
 
@@ -95,8 +96,9 @@ class LieAlgebraSpec:
             comm = (b @ wide).reshape(r, d, r).transpose(1, 0, 2) - (tall @ b).reshape(d, r, r)
             row, res[i] = self.try_coords(comm)
             self.ad_tensor[i] = row.T
-        DEFAULT_TOL.check(float(res.max()), self._basis_scale * self._basis_scale, ValueError,
-                          "bracket does not close over the basis")
+        self.closure_residual = float(res.max())
+        DEFAULT_TOL.check(self.closure_residual, self._basis_scale * self._basis_scale,
+                          ValueError, "bracket does not close over the basis")
 
     @functools.cached_property
     def _tau_inverse(self) -> np.ndarray:
@@ -151,38 +153,6 @@ class LieAlgebraSpec:
         """Matrix of ad(x) on coefficient vectors."""
         return np.einsum("i,ikj->kj", np.asarray(x, dtype=float), self.ad_tensor)
 
-    def jacobi_defect(self) -> float:
-        """Largest Jacobi-identity residual over basis triples.
-
-        With C[p, q, s] = ad_tensor[p, s, q], coordinate s of [b_p, b_q],
-        and u[p, q, s] = [[b_p, b_q], b_s] = C[p, q] @ C[:, s], the triples
-        i < j < k are read in groups of equal smallest index i.  The constants
-        are exactly antisymmetric (the commutators are formed as an exact
-        difference), so a reordering of a triple only permutes and negates its
-        terms a = u[i, j, k], b = u[j, k, i], e = u[k, i, j] = -u[i, k, j], and
-        the largest residual over all orderings is the largest over the
-        pairings (a + b) + e, (b + e) + a, (e + a) + b.  Group i forms a and b
-        on the grid j, k > i, where cell (k, j) holds -e, -b, -a: so (a + b) + e
-        there covers the first two pairings, and the diagonal sums to zero.
-        The working set is O(d^3) floats: C, held for the call, and a few
-        (d-i-1, d-i-1, d) arrays.  Fewer than three basis elements give 0.0.
-        """
-        c = np.ascontiguousarray(self.ad_tensor.transpose(0, 2, 1))
-        d = len(c)
-        worst = 0.0
-        for i in range(d - 2):
-            n = d - i - 1
-            a = (c[i, i + 1:] @ c.reshape(d, d * d)[:, (i + 1) * d:]).reshape(n, n, d)
-            b = (c[i + 1:, i + 1:].reshape(n * n, d) @ c[:, i]).reshape(n, n, d)
-            at = a.transpose(1, 0, 2)  # -e
-            s = a + b
-            s -= at
-            worst = max(worst, np.abs(s, out=s).max())
-            np.subtract(a, at, out=s)
-            s += b
-            worst = max(worst, np.abs(s, out=s).max())
-        return float(worst)
-
     def to_json(self) -> dict:
         out = {
             "name": self.name,
@@ -210,12 +180,15 @@ class LieAlgebraSpec:
 class Grading:
     """Spectral data of a 3-grading: projectors onto the ad(h) eigenspaces
     for eigenvalues -1, 0, +1 and the induced involution tau = P0 - P- - P+.
-    The matrix of h, the nilpotency bound of g^{+-1}, the eigenbases and the
-    tau_matrix defect are built on first use and then kept."""
+    identity_residual is grade_by's max |ad(h)^3 - ad(h)|.  The matrix of h,
+    the nilpotency bound of g^{+-1}, the eigenbases and the tau_matrix defect
+    are built on first use and then kept."""
 
-    def __init__(self, algebra: LieAlgebraSpec, h, p_minus, p_zero, p_plus):
+    def __init__(self, algebra: LieAlgebraSpec, h, p_minus, p_zero, p_plus,
+                 identity_residual: float):
         self.algebra = algebra
         self.h = np.asarray(h, dtype=float)
+        self.identity_residual = identity_residual
         self.p_minus = p_minus
         self.p_zero = p_zero
         self.p_plus = p_plus
@@ -305,9 +278,11 @@ def grade_by(algebra: LieAlgebraSpec, h) -> Grading:
         if not np.isfinite(power).all():
             raise NotThreeGraded(f"{name} overflows: h has an entry of size "
                                  f"{float(np.abs(h).max()):.3e}")
-    DEFAULT_TOL.check(float(np.abs(a3 - a).max()), float(np.abs(a3).max()), NotThreeGraded,
+    residual = float(np.abs(a3 - a).max())
+    DEFAULT_TOL.check(residual, float(np.abs(a3).max()), NotThreeGraded,
                       "ad(h)^3 differs from ad(h)")
-    return Grading(algebra, h, (a2 - a) / 2.0, np.eye(algebra.dim) - a2, (a2 + a) / 2.0)
+    return Grading(algebra, h, (a2 - a) / 2.0, np.eye(algebra.dim) - a2, (a2 + a) / 2.0,
+                   residual)
 
 
 class GroupElement:

@@ -1,6 +1,12 @@
 import os
 import pathlib
 
+# One BLAS thread for the whole test process, bench/ tests included: the
+# timing tests hold beside another BLAS process only without an oversubscribed
+# thread pool.  BLAS reads these when numpy loads, which no plugin does first.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

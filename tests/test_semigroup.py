@@ -253,6 +253,18 @@ def test_polar_domain_draws_outside_the_principal_strip_are_refused(poincare3):
     assert refusals == 22
 
 
+def test_polar_refuses_a_log_that_leaves_the_algebra(poincare3):
+    # Draw 133 at scale 2: the principal log of sharp(g) g is not in the
+    # algebra.  That gate alone refuses it; with the gate off, the unit-factor
+    # gate would refuse it under another message.
+    rng = np.random.default_rng(1)
+    for _ in range(133):
+        catalog.sample_polar_domain(poincare3, rng, 2.0)
+    g = catalog.sample_polar_domain(poincare3, rng, 2.0)
+    with pytest.raises(NotPolar, match=r"^log of sharp\(g\) g leaves the algebra: "):
+        polar_factor(g, poincare3.grading)
+
+
 # (entry, draw index, message) of '+0-' draws at sampler scale 10 whose
 # factors diverge.  The sums exp(-x) stay finite; the gates and the
 # conjugations downstream refuse the factorization.
